@@ -204,9 +204,7 @@ def cmd_transition(args) -> Report:
 
 
 def cmd_pi1(args) -> Report:
-    blob = _read(args.combinatorics)
-    c = parse_combinatorics(blob)
-    g = build_graph(c, GraphKind.REDUCED)
+    blob, c, g = _load_graph(args)
     inputs = {args.combinatorics: _digest(blob)}
     if args.ordering:
         blob_o = _read(args.ordering)
@@ -229,9 +227,7 @@ def cmd_pi1(args) -> Report:
 
 
 def cmd_tlg(args) -> Report:
-    blob = _read(args.combinatorics)
-    c = parse_combinatorics(blob)
-    g = build_graph(c, GraphKind.FULL)
+    blob, c, g = _load_graph(args)
     t = tlg(g)
     return Report(
         "tlg",
@@ -250,9 +246,7 @@ def cmd_tlg(args) -> Report:
 
 
 def cmd_lln(args) -> Report:
-    blob = _read(args.combinatorics)
-    c = parse_combinatorics(blob)
-    g = build_graph(c, GraphKind.FULL)
+    blob, c, g = _load_graph(args)
     incl = _read(args.inclusion)
     values = lln(tlg(g), parse_inclusion(incl, g))
     return Report(
@@ -338,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         "tlg", parents=[common], help="tensor-linking kernel lattice (full graph)"
     )
     p.add_argument("combinatorics")
-    p.set_defaults(func=cmd_tlg)
+    p.set_defaults(func=cmd_tlg, graph=GraphKind.FULL.value)
 
     p = sub.add_parser(
         "lln", parents=[common], help="loop-linking values of inclusion data (full graph)"
     )
     p.add_argument("combinatorics")
     p.add_argument("inclusion")
-    p.set_defaults(func=cmd_lln)
+    p.set_defaults(func=cmd_lln, graph=GraphKind.FULL.value)
     return parser
 
 

@@ -67,14 +67,15 @@ def _as_combinatorics(n_lines, points_data) -> LineCombinatorics:
         raise ValidationError(f"n_lines must be a nonnegative integer, got {n_lines!r}")
     norm: list[tuple[int, ...]] = []
     for raw in points_data:
+        for line in raw:
+            if not isinstance(line, int) or isinstance(line, bool):
+                raise ValidationError(f"line index {line!r} is not an integer")
         pt = tuple(sorted(raw))
         if len(pt) < 2:
             raise ValidationError(f"point {list(raw)} has fewer than 2 lines")
         if len(set(pt)) != len(pt):
             raise ValidationError(f"point {list(raw)} repeats a line index")
         for line in pt:
-            if not isinstance(line, int) or isinstance(line, bool):
-                raise ValidationError(f"line index {line!r} is not an integer")
             if not 0 <= line < n_lines:
                 raise ValidationError(
                     f"line index {line} out of range for {n_lines} lines"
@@ -190,9 +191,9 @@ class DecoratedGraph:
 def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
     """Construct the reduced or full incidence graph of a combinatorics.
 
-    Raises NotSupportedError if the graph is disconnected or has a vertex
-    with fewer than two neighbours; warns about reduced-graph vertices of
-    degree two (boundary cases of the supported family).
+    Raises NotSupportedError if the graph is empty, is disconnected or has
+    a vertex with fewer than two neighbours; warns about reduced-graph
+    vertices of degree two (boundary cases of the supported family).
     """
     if kind is GraphKind.REDUCED:
         point_ids = tuple(c.heavy_points())
@@ -214,6 +215,8 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
     edges = tuple(sorted(edge_set))
 
     count = len(labels)
+    if not count:
+        raise NotSupportedError("graph has no vertices")
     nbr: list[list[int]] = [[] for _ in range(count)]
     for v, w in edges:
         nbr[v].append(w)
@@ -223,8 +226,8 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
     lonely = [labels[v] for v in range(count) if len(neighbours[v]) < 2]
     if lonely:
         raise NotSupportedError(f"graph has dead-end vertices: {', '.join(lonely)}")
-    seen = {0} if count else set()
-    queue = [0] if count else []
+    seen = {0}
+    queue = [0]
     while queue:
         v = queue.pop()
         for w in neighbours[v]:

@@ -14,6 +14,11 @@ number plus the sum of its neighbours.  For full graphs, which carry no
 Euler numbers, the group is presented instead by eliminating each point
 against the sum of its lines and killing the total sum of lines; both
 presentations give a free group of rank one less than the line count.
+
+Relation generators, transition swaps and tensor-linking forms are all
+sums of terms c * zeta_e (x) pi_u: an edge's column of the cycle map
+tensored with a vertex's meridian projection.  Both are kept sparse, and
+add_tensor() is the one place that writes such a term.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .exactalg import AbelianGroup, IntMatrix, quotient_group
 __all__ = [
     "CycleBasis",
     "MeridianHomology",
+    "add_tensor",
     "boundary_matrix",
     "cycle_basis",
     "meridian_homology",
@@ -40,6 +46,7 @@ class CycleBasis:
 
     zeta has one row per non-tree edge (in edge-list order) and one
     column per edge; row i expands the cycle of non_tree_edges[i].
+    edge_cycles[e] lists column e's nonzero (cycle, coefficient) pairs.
     """
 
     graph: DecoratedGraph
@@ -47,6 +54,7 @@ class CycleBasis:
     tree_edges: tuple[tuple[int, int], ...]
     non_tree_edges: tuple[tuple[int, int], ...]
     zeta: IntMatrix
+    edge_cycles: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def rank(self) -> int:
@@ -90,7 +98,10 @@ def cycle_basis(g: DecoratedGraph, root: int = 0) -> CycleBasis:
             row[g.edge_position(a, b)] += 1 if a < b else -1
         rows.append(tuple(row))
     zeta = IntMatrix(tuple(rows), cols=g.edge_count)
-    return CycleBasis(g, root, tuple(sorted(tree)), non_tree, zeta)
+    edge_cycles = tuple(
+        tuple((i, c) for i, c in enumerate(zeta.column(e)) if c) for e in range(g.edge_count)
+    )
+    return CycleBasis(g, root, tuple(sorted(tree)), non_tree, zeta, edge_cycles)
 
 
 def boundary_matrix(g: DecoratedGraph) -> IntMatrix:
@@ -105,8 +116,11 @@ def boundary_matrix(g: DecoratedGraph) -> IntMatrix:
 
 @dataclass(frozen=True)
 class MeridianHomology:
+    """projections[u] lists vertex u's nonzero (Smith coordinate, coeff) pairs."""
+
     graph: DecoratedGraph
     group: AbelianGroup
+    projections: tuple[tuple[tuple[int, int], ...], ...]
 
     def eta(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         """Class of a vertex chain in canonical coordinates."""
@@ -133,7 +147,21 @@ def meridian_homology(g: DecoratedGraph) -> MeridianHomology:
             rows.append(tuple(row))
         rows.append(tuple(1 if v < comb.n_lines else 0 for v in range(n)))
     group = quotient_group(n, IntMatrix(tuple(rows), cols=n))
-    return MeridianHomology(g, group)
+    projections = tuple(
+        tuple((s, p) for s, p in enumerate(row) if p) for row in group.to_smith.data
+    )
+    return MeridianHomology(g, group, projections)
+
+
+def add_tensor(acc: list[int], c: int, cycles, coords, cycle_stride: int, coord_stride: int):
+    """Add c * zeta_e (x) pi_u into acc, given cycles = basis.edge_cycles[e]
+    and coords = mh.projections[u]; cycle i and Smith coordinate s sit at
+    i * cycle_stride + s * coord_stride."""
+    for i, z in cycles:
+        cz = c * z
+        base = i * cycle_stride
+        for s, p in coords:
+            acc[base + s * coord_stride] += cz * p
 
 
 def verify_h1e(m: MeridianHomology, n_lines: int) -> bool:

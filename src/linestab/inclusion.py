@@ -75,7 +75,7 @@ def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
             % (raw["graph"], g.kind.value)
         )
     rank = g.edge_count - g.vertex_count + 1
-    if raw["cycles"] != rank:
+    if isinstance(raw["cycles"], bool) or raw["cycles"] != rank:
         raise ValidationError(
             "file declares %r cycles, graph has %d" % (raw["cycles"], rank)
         )
@@ -85,7 +85,7 @@ def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
     for row in matrix:
         if not isinstance(row, list) or len(row) != g.vertex_count:
             raise ValidationError("matrix rows must have one entry per vertex")
-        if not all(isinstance(x, int) for x in row):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
             raise ValidationError("matrix entries must be integers")
     if "ordering" in raw:
         ordering = parse_ordering(json.dumps(raw["ordering"]), g)

@@ -3,10 +3,10 @@
 An element of the tensor linking group is a homomorphism from meridian
 homology to the cycle space of the full graph, flattened row-major
 (meridian coordinate major, cycle minor).  Each group generator, a dual
-vertex tensored with an edge, imposes one integer linear form on those
-coordinates: expand the homomorphism back to a vertex-by-edge matrix and
-read off the generator's entry.  The group itself is the kernel lattice
-of all the forms.
+vertex u tensored with an edge e, imposes one integer linear form on
+those coordinates, pi_u (x) zeta_e (graphhomology.add_tensor at
+meridian-major strides).  The group itself is the kernel lattice of all
+the forms.
 
 Loop-linking values pair a kernel basis row against inclusion data: the
 inclusion matrix is projected to meridian coordinates, composed with the
@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import DecoratedGraph, GraphKind, ValidationError
-from .exactalg import IntMatrix, lattice_kernel, lattice_members
-from .graphhomology import CycleBasis, MeridianHomology, cycle_basis, meridian_homology
+from .exactalg import IntMatrix, lattice_kernel
+from .graphhomology import (
+    CycleBasis, MeridianHomology, add_tensor, cycle_basis, meridian_homology,
+)
 from .inclusion import InclusionMatrix
-from .stabiliser import gs_generators
+from .stabiliser import gs_generator_terms
 
 __all__ = [
     "LoopLinkingNumber",
@@ -65,18 +67,15 @@ def tlg_generator_positions(g: DecoratedGraph) -> list[tuple[int, int]]:
     """(vertex, edge) pairs generating the constraint module.
 
     Per edge between a point and a line: one generator for every line
-    through the point, then one for every point on the line.
+    through the point, then one for every point on the line.  On the full
+    graph these are the point's and the line's neighbours, ascending.
     """
     _require_full(g)
-    comb = g.combinatorics
     out = []
-    for e, (v, w) in enumerate(g.edges):
-        line, point = (v, w) if g.is_line(v) else (w, v)
-        pid = g.point_ids[point - comb.n_lines]
-        for other_line in comb.points[pid]:
-            out.append((other_line, e))
-        for other_point in comb.points_of_line(line):
-            out.append((g.vertex_by_label("P%d" % other_point), e))
+    # Lines are numbered before points, so every edge is (line, point).
+    for e, (line, point) in enumerate(g.edges):
+        out.extend((other, e) for other in g.neighbours[point])
+        out.extend((other, e) for other in g.neighbours[line])
     return out
 
 
@@ -85,23 +84,15 @@ def tlg(g: DecoratedGraph) -> TensorLinkingGroup:
     _require_full(g)
     basis = cycle_basis(g)
     mh = meridian_homology(g)
-    tdim = mh.group.coord_count
     k = basis.rank
-    proj = mh.group.to_smith.data
+    width = mh.group.coord_count * k
     gens = tlg_generator_positions(g)
     forms = []
     for u, e in gens:
-        pu = proj[u]
-        col = basis.zeta.column(e)
-        form = [0] * (tdim * k)
-        for i in range(tdim):
-            if pu[i]:
-                base = i * k
-                for j in range(k):
-                    if col[j]:
-                        form[base + j] = pu[i] * col[j]
+        form = [0] * width
+        add_tensor(form, 1, basis.edge_cycles[e], mh.projections[u], 1, k)
         forms.append(form)
-    lattice = lattice_kernel(IntMatrix(forms, cols=tdim * k))
+    lattice = lattice_kernel(IntMatrix(forms, cols=width))
     return TensorLinkingGroup(g, basis, mh, tuple(gens), lattice)
 
 
@@ -127,25 +118,11 @@ def lln(t: TensorLinkingGroup, m: InclusionMatrix) -> LoopLinkingNumber:
 
 def verify_lemma_gs_tlg(g: DecoratedGraph) -> bool:
     """Whether every stabiliser generator, read as a vertex-by-edge
-    matrix, lies in the lattice spanned by the constraint generators."""
+    matrix, lies in the lattice spanned by the constraint generators.
+    Those are unit vectors, so each term must sit at a constraint position."""
     _require_full(g)
-    ne, nv = g.edge_count, g.vertex_count
-    width = nv * ne
-    unit_rows = []
-    for u, e in tlg_generator_positions(g):
-        row = [0] * width
-        row[u * ne + e] = 1
-        unit_rows.append(row)
-    lattice = IntMatrix(unit_rows, cols=width)
-    duals = []
-    for gs_row in gs_generators(g).data:
-        dual = [0] * width
-        for pos, c in enumerate(gs_row):
-            if c:
-                e, u = divmod(pos, nv)
-                dual[u * ne + e] = c
-        duals.append(dual)
-    return all(lattice_members(lattice, duals))
+    support = set(tlg_generator_positions(g))
+    return all((u, e) in support for terms in gs_generator_terms(g) for e, u, _ in terms)
 
 
 def _require_full(g: DecoratedGraph) -> None:

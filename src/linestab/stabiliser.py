@@ -1,18 +1,20 @@
 """The graph stabiliser and the ordering-transition correction.
 
 The stabiliser of a decorated graph is the quotient of hom(H1, MH) by
-the images of a finite set of relation generators.  Generators live in
-hom(C1, C0), written edge by vertex and flattened edge-major; pushing a
-generator into hom(H1, MH) expands each cycle in edges and projects each
-vertex chain to meridian-homology coordinates.  Classes in the quotient
-are what the comparison workflow trades in.
+the images of a finite set of relation generators.  Each generator is a
+short list of (edge, vertex, coefficient) terms, an element of
+hom(C1, C0) with at most two nonzero entries.  Pushing a term into
+hom(H1, MH) adds c * zeta_e (x) pi_u: the edge's column of the cycle
+decomposition map tensored with the vertex's meridian projection
+(graphhomology.add_tensor), flattened cycle-major.  Classes in the
+quotient are what the comparison workflow trades in.
 
 Transitions between orderings are accumulated per vertex by walking the
 adjacent-transposition word of the position permutation.  Each swap is
 evaluated against the linearisation reached so far: with x and y the
 neighbours at the swapped positions, the step contributes the image of
 the dual of edge (v, y) tensored with x, signed by the edge's canonical
-orientation.
+orientation, which is one more term of the same kernel.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from typing import Sequence
 
 from .combinatorics import DecoratedGraph, ValidationError
 from .exactalg import AbelianGroup, IntMatrix, quotient_group
-from .graphhomology import CycleBasis, MeridianHomology, cycle_basis, meridian_homology
+from .graphhomology import (
+    CycleBasis, MeridianHomology, add_tensor, cycle_basis, meridian_homology,
+)
 from .orderings import GraphOrdering, decompose_adjacent, ordering_difference
 
 __all__ = [
     "StabiliserClass",
     "StabiliserGroup",
+    "gs_generator_terms",
     "gs_generators",
     "lift_to_chains",
     "reduce_to_class",
@@ -79,74 +84,64 @@ class StabiliserGroup:
         return StabiliserClass(self.group, self.group.zero_coords())
 
 
-def gs_generators(g: DecoratedGraph) -> IntMatrix:
-    """Relation generators in edge x vertex coordinates, one per row.
+def gs_generator_terms(g: DecoratedGraph) -> list[tuple[tuple[int, int, int], ...]]:
+    """Relation generators as their nonzero (edge, vertex, coeff) terms.
 
-    Rows are flattened edge-major (position = edge * vertex_count +
-    vertex).  Every edge contributes the two rows picking out its own
-    endpoints.  Every vertex contributes one row per unordered pair of
-    distinct incident edges: the first edge's dual tensored with the
+    Every edge contributes the two generators picking out its own
+    endpoints.  Every vertex contributes one generator per unordered pair
+    of distinct incident edges: the first edge's dual tensored with the
     second edge's far endpoint, plus the mirrored term signed by both
     canonical orientations.
     """
+    out = [((e, u, 1),) for e, edge in enumerate(g.edges) for u in edge]
+    for v in range(g.vertex_count):
+        ns = g.neighbours[v]
+        for i, y in enumerate(ns):
+            for z in ns[i + 1:]:
+                sign = g.delta(v, y) * g.delta(v, z)
+                out.append(((g.edge_position(v, y), z, 1), (g.edge_position(v, z), y, sign)))
+    return out
+
+
+def gs_generators(g: DecoratedGraph) -> IntMatrix:
+    """The generators of gs_generator_terms() as dense rows in edge x
+    vertex coordinates, flattened edge-major (position = edge *
+    vertex_count + vertex)."""
     nv = g.vertex_count
     width = g.edge_count * nv
     rows = []
-    for e, (v, w) in enumerate(g.edges):
-        for u in (v, w):
-            row = [0] * width
-            row[e * nv + u] = 1
-            rows.append(row)
-    for v in range(nv):
-        ns = g.neighbours[v]
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                y, z = ns[i], ns[j]
-                row = [0] * width
-                row[g.edge_position(v, y) * nv + z] += 1
-                row[g.edge_position(v, z) * nv + y] += g.delta(v, y) * g.delta(v, z)
-                rows.append(row)
+    for terms in gs_generator_terms(g):
+        row = [0] * width
+        for e, u, c in terms:
+            row[e * nv + u] = c
+        rows.append(row)
     return IntMatrix(rows, cols=width)
 
 
-def _push_to_hom(basis: CycleBasis, mh: MeridianHomology, gens: IntMatrix) -> IntMatrix:
-    """Push edge x vertex rows into flattened hom(H1, MH) coordinates."""
-    g = basis.graph
-    nv = g.vertex_count
+def _push_to_hom(basis: CycleBasis, mh: MeridianHomology) -> IntMatrix:
+    """Relation generators in flattened hom(H1, MH) coordinates."""
     t = mh.group.coord_count
-    k = basis.rank
-    zeta_cols = [basis.zeta.column(e) for e in range(g.edge_count)]
-    proj = mh.group.to_smith.data
+    width = basis.rank * t
     out = []
-    for row in gens.data:
-        img = [0] * (k * t)
-        for pos, c in enumerate(row):
-            if not c:
-                continue
-            e, u = divmod(pos, nv)
-            pu = proj[u]
-            for i, zi in enumerate(zeta_cols[e]):
-                if zi:
-                    cz = c * zi
-                    base = i * t
-                    for sidx, ps in enumerate(pu):
-                        if ps:
-                            img[base + sidx] += cz * ps
+    for terms in gs_generator_terms(basis.graph):
+        img = [0] * width
+        for e, u, c in terms:
+            add_tensor(img, c, basis.edge_cycles[e], mh.projections[u], t, 1)
         out.append(img)
     # Torsion in MH forces d * unit in every cycle slot of the hom module.
     for sidx, d in enumerate(mh.group.torsion):
-        for i in range(k):
-            row = [0] * (k * t)
+        for i in range(basis.rank):
+            row = [0] * width
             row[i * t + sidx] = d
             out.append(row)
-    return IntMatrix(out, cols=k * t)
+    return IntMatrix(out, cols=width)
 
 
 def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:
     """Quotient of hom(H1, MH) by the images of the relation generators."""
     basis = cycle_basis(g, root)
     mh = meridian_homology(g)
-    relations = _push_to_hom(basis, mh, gs_generators(g))
+    relations = _push_to_hom(basis, mh)
     group = quotient_group(basis.rank * mh.group.coord_count, relations)
     return StabiliserGroup(g, basis, mh, relations, group)
 
@@ -189,25 +184,13 @@ def transition(s: StabiliserGroup, a: GraphOrdering, b: GraphOrdering) -> Stabil
         raise ValidationError("orderings belong to a different graph")
     g = s.graph
     t = s.mh.group.coord_count
-    proj = s.mh.group.to_smith.data
     total = [0] * (s.basis.rank * t)
     diff = ordering_difference(a, b)
     for v in range(g.vertex_count):
-        word = decompose_adjacent(diff.perms[v])
-        if not word:
-            continue
         current = list(a.order[v])
-        for kpos in word:
+        for kpos in decompose_adjacent(diff.perms[v]):
             x, y = current[kpos - 1], current[kpos]
-            sign = g.delta(v, y)
-            px = proj[x]
-            zcol = s.basis.zeta.column(g.edge_position(v, y))
-            for i, zi in enumerate(zcol):
-                if zi:
-                    cz = sign * zi
-                    base = i * t
-                    for sidx, ps in enumerate(px):
-                        if ps:
-                            total[base + sidx] += cz * ps
+            cycles = s.basis.edge_cycles[g.edge_position(v, y)]
+            add_tensor(total, g.delta(v, y), cycles, s.mh.projections[x], t, 1)
             current[kpos - 1], current[kpos] = y, x
     return StabiliserClass(s.group, s.group.reduce(total))

@@ -8,6 +8,7 @@ from importlib.resources import files
 import pytest
 
 from conftest import reduced_graph
+from linestab import cli
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.datasets import maclane
 from linestab.inclusion import BASIS_TAG
@@ -65,6 +66,30 @@ def test_validate_semantic_error(tmp_path):
     result = run_cli("validate", str(dup))
     assert result.returncode == 2
     assert "two points" in result.stderr
+
+
+def test_validate_non_integer_line_in_process(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_lines": 3, "points": [[0, "1"], [1, 2], [0, 2]]}))
+    assert cli.main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-info"], ["graph-info", "--graph", "full"], ["stabiliser"],
+    ["reduce", "-"], ["compare", "-", "-"], ["transition", "-", "-"],
+    ["pi1"], ["tlg"], ["lln", "-"],
+], ids=["graph-info", "graph-info-full", "stabiliser", "reduce", "compare",
+        "transition", "pi1", "tlg", "lln"])
+def test_empty_arrangement_not_supported(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n_lines": 0, "points": []}))
+    command, *rest = argv
+    assert cli.main([command, str(empty), *rest]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "not supported: graph has no vertices\n"
 
 
 def test_missing_file_is_usage_error():

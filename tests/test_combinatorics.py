@@ -44,6 +44,14 @@ def test_parse_rejects_out_of_range():
         parse_combinatorics('{"n_lines": 2, "points": [[0,5]]}')
 
 
+def test_parse_rejects_non_integer_line():
+    for entry in ('"1"', "[1]", "true", "1.0"):
+        with pytest.raises(ValidationError, match="not an integer"):
+            parse_combinatorics(
+                '{"n_lines": 3, "points": [[0, %s], [1, 2], [0, 2]]}' % entry
+            )
+
+
 def test_parse_rejects_uncovered_pair():
     with pytest.raises(ValidationError, match="no point"):
         parse_combinatorics('{"n_lines": 3, "points": [[0,1]]}')

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from linestab import datasets
 from linestab.combinatorics import ValidationError
 from linestab.exactalg import IntMatrix
 from linestab.inclusion import (
@@ -17,6 +18,8 @@ from linestab.inclusion import (
 )
 from linestab.orderings import canonical_ordering
 from linestab.stabiliser import lift_to_chains, transition
+
+from conftest import reduced_graph
 
 
 def incl_json(g, matrix, **extra):
@@ -84,6 +87,13 @@ def test_parse_rejects_bad_files(k4_stab):
         parse_inclusion(json.dumps({"matrix": []}), g)
     with pytest.raises(ValidationError, match="integers"):
         parse_inclusion(incl_json(g, [[0, 0, 0, 0.5]] + [[0] * 4] * 2), g)
+    with pytest.raises(ValidationError, match="integers"):
+        parse_inclusion(incl_json(g, [[0, 0, 0, True]] + [[0] * 4] * 2), g)
+    # K3 has cycle rank 1, and true == 1 in Python.
+    k3 = reduced_graph(datasets.generic(3))
+    with pytest.raises(ValidationError, match="cycles"):
+        parse_inclusion(json.dumps({"cycles": True, "matrix": [[0] * 3],
+                                    "basis": BASIS_TAG}), k3)
 
 
 # ----------------------------------------------------------------------------

@@ -85,7 +85,8 @@ def test_rank_complements_form_rank():
 
 
 def test_lemma_gs_tlg_holds():
-    for c in (datasets.generic(4), datasets.maclane(), datasets.quadruplet()):
+    for c in (datasets.generic(4), datasets.maclane(), datasets.quadruplet(),
+              datasets.rybnikov()):
         assert verify_lemma_gs_tlg(full_graph(c))
 
 
