@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,11 +67,19 @@ def _coords(xs) -> str:
 
 
 def _load_graph(args):
-    """Parse the combinatorics argument and build the requested graph."""
+    """Parse the combinatorics argument and build the requested graph.
+
+    Warnings from the graph build go to stderr as one `warning:` line each.
+    """
     blob = _read(args.combinatorics)
     c = parse_combinatorics(blob)
     kind = GraphKind(getattr(args, "graph", GraphKind.REDUCED.value))
-    return blob, c, build_graph(c, kind)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = build_graph(c, kind)
+    for w in caught:
+        print("warning: %s" % w.message, file=sys.stderr)
+    return blob, c, g
 
 
 def cmd_validate(args) -> Report:

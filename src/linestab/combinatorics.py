@@ -406,6 +406,28 @@ def _normalise_projective(field: NumberField, vec):
     return None
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, (list, tuple)) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in x
+    )
+
+
+def _check_equation_shapes(lines, minpoly) -> None:
+    if not _is_int_list(minpoly) or not minpoly:
+        raise ValidationError(f"minpoly must be a non-empty list of integers, got {minpoly!r}")
+    if not isinstance(lines, (list, tuple)):
+        raise ValidationError("lines must be a list of line equations")
+    for idx, line in enumerate(lines):
+        if not (
+            isinstance(line, (list, tuple))
+            and len(line) == 3
+            and all(_is_int_list(c) for c in line)
+        ):
+            raise ValidationError(
+                f"line {idx} needs exactly 3 coefficient vectors of integers"
+            )
+
+
 def intersect_equations(
     lines: Sequence[Sequence[Sequence[int]]], minpoly: Sequence[int]
 ) -> LineCombinatorics:
@@ -416,11 +438,10 @@ def intersect_equations(
     minpoly.  Intersections are exact cross products over Q[w]/(minpoly);
     the returned points are sorted lexicographically.
     """
+    _check_equation_shapes(lines, minpoly)
     field = NumberField(minpoly)
     parsed = []
     for idx, line in enumerate(lines):
-        if len(line) != 3:
-            raise ValidationError(f"line {idx} needs exactly 3 coefficient vectors")
         vec = tuple(field.element(c) for c in line)
         norm = _normalise_projective(field, vec)
         if norm is None:
@@ -458,4 +479,5 @@ def parse_equations(text: bytes | str):
     doc = json.loads(text)
     if not isinstance(doc, dict) or "minpoly" not in doc or "lines" not in doc:
         raise ValueError('expected a JSON object with "minpoly" and "lines"')
+    _check_equation_shapes(doc["lines"], doc["minpoly"])
     return doc["lines"], doc["minpoly"]

@@ -10,9 +10,13 @@ Conventions, used package-wide:
 * Row vectors.  A matrix M with a rows and b columns represents the
   homomorphism Z^a -> Z^b sending x to x*M, and a lattice is the span of a
   matrix's rows.
+* Sparse rows.  The Smith engine keeps the working matrix and its
+  transforms as rows of {column: value}; a row swap moves one list slot
+  and a column swap only updates a position permutation.
 * Determinism.  Eliminations pick the nonzero entry of least absolute value
-  as pivot, breaking ties by lowest row index, then lowest column index.
-  Identical inputs give bit-identical outputs on every platform.
+  as pivot, breaking ties by lowest current row position, then lowest
+  current column position.  Identical inputs give bit-identical outputs on
+  every platform.
 """
 
 from __future__ import annotations
@@ -131,122 +135,141 @@ class SmithDecomposition:
     v: IntMatrix
 
 
-def _least_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
-    """Position of the least-|value| nonzero entry of a[t:, t:], or None.
+def _axpy(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
+    """dst += q * src on sparse rows, dropping entries that cancel."""
+    for k, z in src.items():
+        y = dst.get(k, 0) + q * z
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
-    Ties break to the lowest row, then the lowest column, which the scan
-    order provides for free.
+
+def _sparse_rows(mat: IntMatrix) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in mat.data]
+
+
+def _dense(row: dict[int, int], width: int) -> list[int]:
+    out = [0] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _smith_engine(
+    a: list[dict[int, int]], cols: int, want_u: bool, want_v: bool, want_vinv: bool
+):
+    """Shared elimination core on sparse rows {column: value}.
+
+    Consumes a.  Returns (diag, u, vt, vinv): diag lists the min(rows, cols)
+    diagonal entries, u collects the row operations, vt holds the columns
+    of the column transform v as rows, and vinv is v's inverse, all as
+    sparse rows.  Any transform not requested is None.
+
+    Rows move by swapping list slots.  Columns never move: pos[c] is the
+    current position of column c and col_at[k] the column at position k,
+    so vt and vinv are kept per column and put in position order at the
+    end.  Rows at positions >= t only hold columns at positions >= t.
     """
-    best = None
-    best_abs = 0
-    for i in range(t, rows):
-        row = a[i]
-        for j in range(t, cols):
-            v = row[j]
-            if v:
-                if v < 0:
-                    v = -v
-                if best is None or v < best_abs:
-                    if v == 1:
-                        return i, j
-                    best = (i, j)
-                    best_abs = v
-    return best
-
-
-def _smith_engine(mat: IntMatrix, want_u: bool, want_v: bool, want_vinv: bool):
-    """Shared elimination core.
-
-    Returns (diag_rows, u, vt, vinv) where diag_rows is the diagonalised
-    matrix as lists, u collects the row operations, vt holds the columns of
-    the column transform v as rows, and vinv is v's inverse.  Any transform
-    not requested is None.
-    """
-    rows, cols = mat.rows, mat.cols
-    a = [list(r) for r in mat.data]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_u else None
-    vt = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_v else None
-    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_vinv else None
+    rows = len(a)
+    u = [{i: 1} for i in range(rows)] if want_u else None
+    vt = [{j: 1} for j in range(cols)] if want_v else None
+    vinv = [{j: 1} for j in range(cols)] if want_vinv else None
+    pos = list(range(cols))
+    col_at = list(range(cols))
 
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        pos = _least_abs_pivot(a, t, rows, cols)
-        if pos is None:
+        # Least |value| at positions >= t: lowest row position, then lowest
+        # column position.
+        i = -1
+        best = 0
+        for r in range(t, rows):
+            row = a[r]
+            if row:
+                m = min(map(abs, row.values()))
+                if i < 0 or m < best:
+                    i, best = r, m
+                    if m == 1:
+                        break
+        if i < 0:
             break
-        i, j = pos
+        c = min((k for k, x in a[i].items() if abs(x) == best), key=pos.__getitem__)
         if i != t:
             a[t], a[i] = a[i], a[t]
             if u is not None:
                 u[t], u[i] = u[i], u[t]
+        j = pos[c]
         if j != t:
-            for r in a:
-                r[t], r[j] = r[j], r[t]
-            if vt is not None:
-                vt[t], vt[j] = vt[j], vt[t]
-            if vinv is not None:
-                vinv[t], vinv[j] = vinv[j], vinv[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+            other = col_at[t]
+            col_at[t], col_at[j] = c, other
+            pos[c], pos[other] = t, j
+        if a[t][c] < 0:
+            a[t] = {k: -x for k, x in a[t].items()}
             if u is not None:
-                u[t] = [-x for x in u[t]]
-        p = a[t][t]
+                u[t] = {k: -x for k, x in u[t].items()}
         pivot_row = a[t]
+        p = pivot_row[c]
 
-        # Clear column t below the pivot with row operations.
+        # Clear column c below the pivot with row operations.
         dirty = False
-        for i in range(t + 1, rows):
-            x = a[i][t]
-            if not x:
+        for r in range(t + 1, rows):
+            row = a[r]
+            x = row.get(c)
+            if x is None:
                 continue
             q = x // p
             if q:
-                a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
+                _axpy(row, -q, pivot_row)
                 if u is not None:
-                    u[i] = [y - q * z for y, z in zip(u[i], u[t])]
-            if a[i][t]:
+                    _axpy(u[r], -q, u[t])
+            if c in row:
                 dirty = True
         if dirty:
             continue  # remainders smaller than the pivot exist; re-pick
 
-        # Column t is clear except for the pivot, so a column operation only
+        # Column c is clear except for the pivot, so a column operation only
         # changes row t.
-        for j in range(t + 1, cols):
-            x = pivot_row[j]
-            if not x:
+        for k, x in list(pivot_row.items()):
+            if k == c:
                 continue
             q = x // p
             if q:
-                pivot_row[j] = x - q * p
+                x -= q * p
+                if x:
+                    pivot_row[k] = x
+                else:
+                    del pivot_row[k]
                 if vt is not None:
-                    vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
+                    _axpy(vt[k], -q, vt[c])
                 if vinv is not None:
-                    vinv[t] = [y + q * z for y, z in zip(vinv[t], vinv[j])]
-            if pivot_row[j]:
+                    _axpy(vinv[c], q, vinv[k])
+            if x:
                 dirty = True
         if dirty:
             continue
 
         # The pivot must divide everything that remains; if not, fold the
-        # offending row in and keep reducing.
+        # first offending row in and keep reducing.
         if p != 1:
-            bad = None
-            for i in range(t + 1, rows):
-                row = a[i]
-                for j in range(t + 1, cols):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next(
+                (r for r in range(t + 1, rows) if any(x % p for x in a[r].values())),
+                None,
+            )
             if bad is not None:
-                a[t] = [y + z for y, z in zip(a[t], a[bad])]
+                _axpy(pivot_row, 1, a[bad])
                 if u is not None:
-                    u[t] = [y + z for y, z in zip(u[t], u[bad])]
+                    _axpy(u[t], 1, u[bad])
                 continue
         t += 1
 
-    return a, u, vt, vinv
+    diag = [a[k].get(col_at[k], 0) for k in range(limit)]
+    if vt is not None:
+        vt = [vt[c] for c in col_at]
+    if vinv is not None:
+        vinv = [vinv[c] for c in col_at]
+    return diag, u, vt, vinv
 
 
 def smith(mat: IntMatrix) -> SmithDecomposition:
@@ -256,12 +279,21 @@ def smith(mat: IntMatrix) -> SmithDecomposition:
     unimodular, the diagonal of d nonnegative and each diagonal entry
     dividing the next.
     """
-    diag, u, vt, _ = _smith_engine(mat, want_u=True, want_v=True, want_vinv=False)
-    d = IntMatrix(diag, cols=mat.cols)
+    rows, cols = mat.rows, mat.cols
+    diag, u, vt, _ = _smith_engine(
+        _sparse_rows(mat), cols, want_u=True, want_v=True, want_vinv=False
+    )
+    d = [[0] * cols for _ in range(rows)]
+    for k, x in enumerate(diag):
+        d[k][k] = x
+    v = [[0] * cols for _ in range(cols)]
+    for k, column in enumerate(vt):
+        for i, x in column.items():
+            v[i][k] = x
     return SmithDecomposition(
-        u=IntMatrix(u, cols=mat.rows),
-        d=d,
-        v=IntMatrix(vt, cols=mat.cols).transpose(),
+        u=IntMatrix([_dense(r, rows) for r in u], cols=rows),
+        d=IntMatrix(d, cols=cols),
+        v=IntMatrix(v, cols=cols),
     )
 
 
@@ -364,15 +396,17 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
     n = forms.cols
     if forms.rows == 0:
         return IntMatrix.identity(n)
-    m = forms.transpose()  # n x k; we want row vectors x with x @ m == 0
-    diag, u, _, _ = _smith_engine(m, want_u=True, want_v=False, want_vinv=False)
-    rank = 0
-    for i in range(min(n, m.cols)):
-        if diag[i][i]:
-            rank += 1
+    # Rows of forms^T (n x k); we want row vectors x with x @ forms^T == 0.
+    m: list[dict[int, int]] = [{} for _ in range(n)]
+    for f, row in enumerate(forms.data):
+        for x, value in enumerate(row):
+            if value:
+                m[x][f] = value
+    diag, u, _, _ = _smith_engine(m, forms.rows, want_u=True, want_v=False, want_vinv=False)
+    rank = sum(1 for x in diag if x)
     if rank == n:
         return IntMatrix([], cols=n)
-    return hermite(IntMatrix(u[rank:], cols=n))
+    return hermite(IntMatrix([_dense(r, n) for r in u[rank:]], cols=n))
 
 
 # ----------------------------------------------------------------------------
@@ -482,15 +516,23 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
         ident = IntMatrix.identity(n)
         return AbelianGroup(n, relations, (), n, ident, ident)
     diag, _, vt, vinv = _smith_engine(
-        relations, want_u=False, want_v=True, want_vinv=True
+        _sparse_rows(relations), n, want_u=False, want_v=True, want_vinv=True
     )
-    diagonal = [diag[i][i] if i < relations.rows else 0 for i in range(n)]
+    diagonal = diag + [0] * (n - len(diag))
     retained = [i for i in range(n) if diagonal[i] != 1]
     torsion = tuple(diagonal[i] for i in retained if diagonal[i] > 1)
     free_rank = len(retained) - len(torsion)
     # vt rows are the columns of the column transform v.
-    to_smith = IntMatrix(
-        [[vt[j][i] for j in retained] for i in range(n)], cols=len(retained)
+    to_smith = [[0] * len(retained) for _ in range(n)]
+    for k, j in enumerate(retained):
+        for i, x in vt[j].items():
+            to_smith[i][k] = x
+    from_smith = [_dense(vinv[j], n) for j in retained]
+    return AbelianGroup(
+        n,
+        relations,
+        torsion,
+        free_rank,
+        IntMatrix(to_smith, cols=len(retained)),
+        IntMatrix(from_smith, cols=n),
     )
-    from_smith = IntMatrix([vinv[j] for j in retained], cols=n)
-    return AbelianGroup(n, relations, torsion, free_rank, to_smith, from_smith)

@@ -10,7 +10,7 @@ import pytest
 from conftest import reduced_graph
 from linestab import cli
 from linestab.combinatorics import GraphKind, build_graph
-from linestab.datasets import maclane
+from linestab.datasets import generic, maclane
 from linestab.inclusion import BASIS_TAG
 
 MACLANE = str(files("linestab") / "data" / "maclane.json")
@@ -74,6 +74,18 @@ def test_validate_non_integer_line_in_process(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid:") and err.count("\n") == 1
+
+
+def test_degree_two_warning_is_one_clean_line(tmp_path, capsys):
+    c = generic(3)
+    k3 = tmp_path / "k3.json"
+    k3.write_text(json.dumps({"n_lines": c.n_lines, "points": [list(p) for p in c.points]}))
+    assert cli.main(["graph-info", str(k3), "--json"]) == 0
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: reduced graph has degree-2")
+    assert "UserWarning" not in out.err
+    assert json.loads(out.out)["result"]["cycle_rank"] == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ from linestab.combinatorics import (
     euler_number,
     intersect_equations,
     parse_combinatorics,
+    parse_equations,
 )
 
 
@@ -194,3 +195,28 @@ def test_oracle_scaled_field_coefficients():
     lines = [[[0, 0, 1], [0], [0]], [[0, 0, 2], [0], [0]]]
     with pytest.raises(ValidationError, match="equal"):
         intersect_equations(lines, [1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"minpoly": [1, 0, 1], "lines": 5},
+        {"minpoly": [1, 0, 1], "lines": "xyz"},
+        {"minpoly": [], "lines": []},
+        {"minpoly": 3, "lines": []},
+        {"minpoly": [1, True], "lines": []},
+        {"minpoly": [1, 0.5], "lines": []},
+        {"minpoly": [0, 1], "lines": [5]},
+        {"minpoly": [0, 1], "lines": [[[1], [0]]]},
+        {"minpoly": [0, 1], "lines": [[[1], [0], [0], [1]]]},
+        {"minpoly": [0, 1], "lines": [[[1], 0, [0]]]},
+        {"minpoly": [0, 1], "lines": [[[1], [False], [0]]]},
+        {"minpoly": [0, 1], "lines": [[[1], ["2"], [0]]]},
+        {"minpoly": [0, 1], "lines": [[[1], [0], [None]]]},
+    ],
+)
+def test_equations_reject_malformed_shapes(doc):
+    with pytest.raises(ValidationError):
+        parse_equations(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        intersect_equations(doc["lines"], doc["minpoly"])

@@ -1,0 +1,369 @@
+"""The sparse Smith engine against the dense engine it replaced.
+
+ref_smith_engine and ref_least_abs_pivot below are verbatim copies of the
+dense elimination the package used before the engine moved onto sparse
+rows.  The sparse engine promises the same pivot sequence and the same
+row and column operations, so its diagonal and its transforms u, vt and
+vinv must equal the reference's exactly, for every combination of
+requested transforms; smith(), quotient_group() and lattice_kernel() must
+then equal what the dense engine made of the same output.
+
+The reference takes about 5 s on each Rybnikov matrix, so those three are
+pinned by digest instead: RYBNIKOV_DIGESTS holds the SHA-256 of
+repr((diag, u, vt, vinv)) -- the dense engine's output with every
+transform requested, diag being the list of diagonal entries and the
+transforms dense lists of rows -- computed by running the dense
+_smith_engine of the last dense-engine version of exactalg on the same
+matrices, built by the same code as here.
+"""
+
+import functools
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from linestab import datasets
+from linestab import looplink
+from linestab.combinatorics import GraphKind, build_graph
+from linestab.exactalg import (
+    AbelianGroup,
+    IntMatrix,
+    SmithDecomposition,
+    _smith_engine,
+    _sparse_rows,
+    hermite,
+    lattice_kernel,
+    quotient_group,
+    smith,
+)
+from linestab.graphhomology import cycle_basis, meridian_homology
+from linestab.orderings import canonical_ordering
+from linestab.pi1 import abelianise, pi1_presentation
+from linestab.stabiliser import _push_to_hom, stabiliser
+
+from conftest import reduced_graph
+
+# ----------------------------------------------------------------------------
+# dense reference
+# ----------------------------------------------------------------------------
+
+
+def ref_least_abs_pivot(a, t, rows, cols):
+    best = None
+    best_abs = 0
+    for i in range(t, rows):
+        row = a[i]
+        for j in range(t, cols):
+            v = row[j]
+            if v:
+                if v < 0:
+                    v = -v
+                if best is None or v < best_abs:
+                    if v == 1:
+                        return i, j
+                    best = (i, j)
+                    best_abs = v
+    return best
+
+
+def ref_smith_engine(mat, want_u, want_v, want_vinv):
+    rows, cols = mat.rows, mat.cols
+    a = [list(r) for r in mat.data]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_u else None
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_v else None
+    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_vinv else None
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pos = ref_least_abs_pivot(a, t, rows, cols)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
+        if j != t:
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+            if vt is not None:
+                vt[t], vt[j] = vt[j], vt[t]
+            if vinv is not None:
+                vinv[t], vinv[j] = vinv[j], vinv[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+        p = a[t][t]
+        pivot_row = a[t]
+
+        dirty = False
+        for i in range(t + 1, rows):
+            x = a[i][t]
+            if not x:
+                continue
+            q = x // p
+            if q:
+                a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
+                if u is not None:
+                    u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+            if a[i][t]:
+                dirty = True
+        if dirty:
+            continue
+
+        for j in range(t + 1, cols):
+            x = pivot_row[j]
+            if not x:
+                continue
+            q = x // p
+            if q:
+                pivot_row[j] = x - q * p
+                if vt is not None:
+                    vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
+                if vinv is not None:
+                    vinv[t] = [y + q * z for y, z in zip(vinv[t], vinv[j])]
+            if pivot_row[j]:
+                dirty = True
+        if dirty:
+            continue
+
+        if p != 1:
+            bad = None
+            for i in range(t + 1, rows):
+                row = a[i]
+                for j in range(t + 1, cols):
+                    if row[j] % p:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is not None:
+                a[t] = [y + z for y, z in zip(a[t], a[bad])]
+                if u is not None:
+                    u[t] = [y + z for y, z in zip(u[t], u[bad])]
+                continue
+        t += 1
+
+    return a, u, vt, vinv
+
+
+def ref_smith(mat, out):
+    a, u, vt, _ = out
+    return SmithDecomposition(
+        u=IntMatrix(u, cols=mat.rows),
+        d=IntMatrix(a, cols=mat.cols),
+        v=IntMatrix(vt, cols=mat.cols).transpose(),
+    )
+
+
+def ref_quotient_group(relations, out):
+    n = relations.cols
+    diag, _, vt, vinv = out
+    diagonal = [diag[i][i] if i < relations.rows else 0 for i in range(n)]
+    retained = [i for i in range(n) if diagonal[i] != 1]
+    torsion = tuple(diagonal[i] for i in retained if diagonal[i] > 1)
+    to_smith = IntMatrix(
+        [[vt[j][i] for j in retained] for i in range(n)], cols=len(retained)
+    )
+    from_smith = IntMatrix([vinv[j] for j in retained], cols=n)
+    return AbelianGroup(
+        n, relations, torsion, len(retained) - len(torsion), to_smith, from_smith
+    )
+
+
+def ref_lattice_kernel(m, out):
+    """Kernel of forms = m^T, from the reference engine's output on m."""
+    n = m.rows
+    diag, u, _, _ = out
+    rank = sum(1 for i in range(min(n, m.cols)) if diag[i][i])
+    if rank == n:
+        return IntMatrix([], cols=n)
+    return hermite(IntMatrix(u[rank:], cols=n))
+
+
+# ----------------------------------------------------------------------------
+# inputs
+# ----------------------------------------------------------------------------
+
+COMBINATORICS = {
+    "maclane": datasets.maclane,
+    "quadruplet": datasets.quadruplet,
+    "rybnikov": datasets.rybnikov,
+    **{"generic%d" % n: (lambda n=n: datasets.generic(n)) for n in range(3, 16)},
+}
+KINDS = {"reduced": GraphKind.REDUCED, "full": GraphKind.FULL}
+
+
+@functools.lru_cache(maxsize=None)
+def graph(name, kind):
+    c = COMBINATORICS[name]()
+    return reduced_graph(c) if kind == "reduced" else build_graph(c, KINDS[kind])
+
+
+def relations(name, kind):
+    g = graph(name, kind)
+    return _push_to_hom(cycle_basis(g), meridian_homology(g))
+
+
+def tlg_forms_transposed(name):
+    recorded = []
+
+    def record(forms):
+        recorded.append(forms)
+        return IntMatrix([], cols=forms.cols)
+
+    real = looplink.lattice_kernel
+    looplink.lattice_kernel = record
+    try:
+        looplink.tlg(graph(name, "full"))
+    finally:
+        looplink.lattice_kernel = real
+    return recorded[0].transpose()
+
+
+def meridian_relations(name, kind):
+    return meridian_homology(graph(name, kind)).group.presentation
+
+
+def abelianisation_relations(name):
+    g = graph(name, "reduced")
+    return abelianise(pi1_presentation(g, cycle_basis(g), canonical_ordering(g))).presentation
+
+
+def random_matrix(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    values = [0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 12]
+    return IntMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+
+
+HAND_MADE = {
+    # 2 does not divide 3: the first offending row is folded into the pivot
+    # row, giving diag(1, 6).
+    "fold-in": IntMatrix([[2, 0], [0, 3]]),
+    # 5 = 1 * 3 + 2 leaves a remainder below the pivot, then in its row.
+    "remainder-below": IntMatrix([[3], [5]]),
+    "remainder-right": IntMatrix([[3, 5]]),
+    "negative-pivot": IntMatrix([[-2, 4, 6], [4, -3, 0], [0, 6, -9]]),
+    "zero": IntMatrix.zeros(2, 3),
+    "wide-rank-deficient": IntMatrix([[2, 4, 6, 8], [1, 2, 3, 4], [0, 0, 0, 5]]),
+}
+
+MATRICES = {
+    **{
+        "%s-%s-relations" % (name, kind): (lambda name=name, kind=kind: relations(name, kind))
+        for name in ("maclane", "quadruplet")
+        for kind in KINDS
+    },
+    **{
+        "generic%d-full-relations" % n: (lambda n=n: relations("generic%d" % n, "full"))
+        for n in range(3, 11)
+    },
+    **{
+        "%s-tlg-forms^T" % name: (lambda name=name: tlg_forms_transposed(name))
+        for name in ("maclane", "quadruplet")
+    },
+    **{
+        "%s-%s-meridian" % (name, kind): (lambda name=name, kind=kind: meridian_relations(name, kind))
+        for name in ("maclane", "quadruplet", "generic6")
+        for kind in KINDS
+    },
+    **{
+        "%s-abelianise" % name: (lambda name=name: abelianisation_relations(name))
+        for name in ("maclane", "quadruplet", "generic5")
+    },
+    **{"hand-%s" % name: (lambda m=m: m) for name, m in HAND_MADE.items()},
+    **{"random%d" % seed: (lambda seed=seed: random_matrix(seed)) for seed in range(40)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def matrix(name):
+    return MATRICES[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def reference(name):
+    return ref_smith_engine(matrix(name), True, True, True)
+
+
+def dense(rows, width):
+    if rows is None:
+        return None
+    out = []
+    for row in rows:
+        line = [0] * width
+        for j, x in row.items():
+            line[j] = x
+        out.append(line)
+    return out
+
+
+def engine(mat, want_u, want_v, want_vinv):
+    diag, u, vt, vinv = _smith_engine(_sparse_rows(mat), mat.cols, want_u, want_v, want_vinv)
+    return diag, dense(u, mat.rows), dense(vt, mat.cols), dense(vinv, mat.cols)
+
+
+# ----------------------------------------------------------------------------
+# tests
+# ----------------------------------------------------------------------------
+
+
+def test_hand_made_cases_reach_every_step():
+    assert engine(HAND_MADE["fold-in"], False, False, False)[0] == [1, 6]
+    assert engine(HAND_MADE["remainder-below"], False, False, False)[0] == [1]
+    assert engine(HAND_MADE["remainder-right"], False, False, False)[0] == [1]
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_engine_matches_dense_reference(name):
+    m = matrix(name)
+    a, u, vt, vinv = reference(name)
+    limit = min(m.rows, m.cols)
+    assert all(a[i][j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+    for want_u, want_v, want_vinv in itertools.product((False, True), repeat=3):
+        got = engine(m, want_u, want_v, want_vinv)
+        assert got == (
+            [a[i][i] for i in range(limit)],
+            u if want_u else None,
+            vt if want_v else None,
+            vinv if want_vinv else None,
+        )
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_callers_match_dense_reference(name):
+    m = matrix(name)
+    out = reference(name)
+    assert smith(m) == ref_smith(m, out)
+    got, want = quotient_group(m.cols, m), ref_quotient_group(m, out)
+    assert (got.torsion, got.free_rank) == (want.torsion, want.free_rank)
+    assert got.to_smith == want.to_smith
+    assert got.from_smith == want.from_smith
+    if m.rows <= 400:
+        assert lattice_kernel(m.transpose()) == ref_lattice_kernel(m, out)
+
+
+RYBNIKOV_DIGESTS = {
+    "rybnikov-reduced-relations": "a435c105d9298ad6823801884d08fb08f441e04e4b9535634960edf03344577d",
+    "rybnikov-full-relations": "0821abe1bbc151fba097f9907b26a1b4cc6e86d94795259204638a448b24a1a8",
+    "rybnikov-tlg-forms^T": "41dce2f53f84d4012d94ede943ea9cc853add648eaea08682473465183fd2187",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RYBNIKOV_DIGESTS))
+def test_rybnikov_engine_matches_recorded_digest(name):
+    if name == "rybnikov-tlg-forms^T":
+        m = tlg_forms_transposed("rybnikov")
+    else:
+        m = relations("rybnikov", name.split("-")[1])
+    out = engine(m, True, True, True)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == RYBNIKOV_DIGESTS[name]
+
+
+def test_generic15_full_stabiliser():
+    assert str(stabiliser(graph("generic15", "full")).group) == "Z^364"
