@@ -6,6 +6,10 @@ machine-readable report.  The JSON report is byte-identical across runs
 on identical inputs: keys are sorted, timing is left out, and every
 value is an exact integer or string.
 
+Each command is one entry of COMMANDS: the parser is built from the
+table, and one runner reads and hashes the input files, builds the graph
+and wraps what the command returns in a Report.
+
 Exit codes: 0 success (or verdict Equal), 1 usage or parse error,
 2 validation error, 3 verdict Distinct, 4 unsupported input family.
 """
@@ -13,13 +17,15 @@ Exit codes: 0 success (or verdict Equal), 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import (
     GraphKind,
@@ -66,207 +72,160 @@ def _coords(xs) -> str:
     return "(" + ", ".join(str(x) for x in xs) + ")"
 
 
-def _load_graph(args):
-    """Parse the combinatorics argument and build the requested graph.
-
-    Warnings from the graph build go to stderr as one `warning:` line each.
-    """
-    blob = _read(args.combinatorics)
-    c = parse_combinatorics(blob)
-    kind = GraphKind(getattr(args, "graph", GraphKind.REDUCED.value))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = build_graph(c, kind)
-    for w in caught:
-        print("warning: %s" % w.message, file=sys.stderr)
-    return blob, c, g
-
-
-def cmd_validate(args) -> Report:
-    blob = _read(args.combinatorics)
-    c = parse_combinatorics(blob)
-    return Report(
-        "validate",
-        {args.combinatorics: _digest(blob)},
+def _validate(c) -> tuple:
+    return (
         {"valid": True, "lines": c.n_lines, "points": len(c.points)},
         ["valid: %d lines, %d points" % (c.n_lines, len(c.points))],
     )
 
 
-def cmd_graph_info(args) -> Report:
-    blob, c, g = _load_graph(args)
+def _graph_info(g) -> tuple:
     rank = g.edge_count - g.vertex_count + 1
     mh = meridian_homology(g)
-    return Report(
-        "graph-info",
-        {args.combinatorics: _digest(blob)},
-        {
-            "graph": g.kind.value,
-            "vertices": g.vertex_count,
-            "edges": g.edge_count,
-            "cycle_rank": rank,
-            "meridian_homology": str(mh.group),
-        },
-        [
-            "%s graph: %d vertices, %d edges, cycle rank %d"
-            % (g.kind.value, g.vertex_count, g.edge_count, rank),
-            "meridian homology: %s" % mh.group,
-        ],
+    return (
+        {"graph": g.kind.value, "vertices": g.vertex_count, "edges": g.edge_count,
+         "cycle_rank": rank, "meridian_homology": str(mh.group)},
+        ["%s graph: %d vertices, %d edges, cycle rank %d"
+         % (g.kind.value, g.vertex_count, g.edge_count, rank),
+         "meridian homology: %s" % mh.group],
     )
 
 
-def cmd_stabiliser(args) -> Report:
-    blob, c, g = _load_graph(args)
+def _stabiliser(g) -> tuple:
     s = stabiliser(g)
-    return Report(
-        "stabiliser",
-        {args.combinatorics: _digest(blob)},
-        {
-            "graph": g.kind.value,
-            "group": str(s.group),
-            "ambient_rank": s.ambient_rank,
-            "relations": s.relations.rows,
-            "cycle_rank": s.basis.rank,
-        },
-        [
-            "stabiliser group: %s" % s.group,
-            "ambient rank: %d" % s.ambient_rank,
-            "relations: %d" % s.relations.rows,
-            "cycle rank: %d" % s.basis.rank,
-        ],
+    return (
+        {"graph": g.kind.value, "group": str(s.group), "ambient_rank": s.ambient_rank,
+         "relations": s.relations.rows, "cycle_rank": s.basis.rank},
+        ["stabiliser group: %s" % s.group, "ambient rank: %d" % s.ambient_rank,
+         "relations: %d" % s.relations.rows, "cycle rank: %d" % s.basis.rank],
     )
 
 
-def cmd_reduce(args) -> Report:
-    blob, c, g = _load_graph(args)
-    incl = _read(args.inclusion)
+def _reduce(g, incl: bytes) -> tuple:
     s = stabiliser(g)
     cls = invariant(s, parse_inclusion(incl, g))
-    return Report(
-        "reduce",
-        {args.combinatorics: _digest(blob), args.inclusion: _digest(incl)},
-        {
-            "graph": g.kind.value,
-            "group": str(s.group),
-            "coords": list(cls.coords),
-            "zero": cls.is_zero,
-        },
+    return (
+        {"graph": g.kind.value, "group": str(s.group), "coords": list(cls.coords),
+         "zero": cls.is_zero},
         ["group: %s" % s.group, "class: %s" % _coords(cls.coords)],
     )
 
 
-def cmd_compare(args) -> Report:
-    blob, c, g = _load_graph(args)
-    blob_a = _read(args.inclusion_a)
-    blob_b = _read(args.inclusion_b)
+def _compare(g, incl_a: bytes, incl_b: bytes) -> tuple:
     s = stabiliser(g)
-    report = compare(s, parse_inclusion(blob_a, g), parse_inclusion(blob_b, g))
-    return Report(
-        "compare",
-        {
-            args.combinatorics: _digest(blob),
-            args.inclusion_a: _digest(blob_a),
-            args.inclusion_b: _digest(blob_b),
-        },
-        {
-            "graph": g.kind.value,
-            "group": str(s.group),
-            "class_a": list(report.class_a.coords),
-            "class_b": list(report.class_b.coords),
-            "transition": list(report.transition.coords),
-            "difference": list(report.difference.coords),
-            "verdict": report.verdict.value,
-        },
-        [
-            "group: %s" % s.group,
-            "class a: %s" % _coords(report.class_a.coords),
-            "class b: %s" % _coords(report.class_b.coords),
-            "transition: %s" % _coords(report.transition.coords),
-            "difference: %s" % _coords(report.difference.coords),
-            "verdict: %s" % report.verdict.value,
-        ],
-        exit_code=0 if report.verdict is Verdict.EQUAL else 3,
+    r = compare(s, parse_inclusion(incl_a, g), parse_inclusion(incl_b, g))
+    return (
+        {"graph": g.kind.value, "group": str(s.group), "class_a": list(r.class_a.coords),
+         "class_b": list(r.class_b.coords), "transition": list(r.transition.coords),
+         "difference": list(r.difference.coords), "verdict": r.verdict.value},
+        ["group: %s" % s.group, "class a: %s" % _coords(r.class_a.coords),
+         "class b: %s" % _coords(r.class_b.coords),
+         "transition: %s" % _coords(r.transition.coords),
+         "difference: %s" % _coords(r.difference.coords),
+         "verdict: %s" % r.verdict.value],
+        0 if r.verdict is Verdict.EQUAL else 3,
     )
 
 
-def cmd_transition(args) -> Report:
-    blob, c, g = _load_graph(args)
-    blob_a = _read(args.ordering_a)
-    blob_b = _read(args.ordering_b)
+def _transition(g, ord_a: bytes, ord_b: bytes) -> tuple:
     s = stabiliser(g)
-    cls = transition(s, parse_ordering(blob_a, g), parse_ordering(blob_b, g))
-    return Report(
-        "transition",
-        {
-            args.combinatorics: _digest(blob),
-            args.ordering_a: _digest(blob_a),
-            args.ordering_b: _digest(blob_b),
-        },
-        {
-            "graph": g.kind.value,
-            "group": str(s.group),
-            "coords": list(cls.coords),
-            "zero": cls.is_zero,
-        },
+    cls = transition(s, parse_ordering(ord_a, g), parse_ordering(ord_b, g))
+    return (
+        {"graph": g.kind.value, "group": str(s.group), "coords": list(cls.coords),
+         "zero": cls.is_zero},
         ["group: %s" % s.group, "transition class: %s" % _coords(cls.coords)],
     )
 
 
-def cmd_pi1(args) -> Report:
-    blob, c, g = _load_graph(args)
-    inputs = {args.combinatorics: _digest(blob)}
-    if args.ordering:
-        blob_o = _read(args.ordering)
-        inputs[args.ordering] = _digest(blob_o)
-        ordering = parse_ordering(blob_o, g)
-    else:
-        ordering = canonical_ordering(g)
-    p = pi1_presentation(g, cycle_basis(g), ordering)
+def _pi1(g, ordering: bytes | None) -> tuple:
+    o = canonical_ordering(g) if ordering is None else parse_ordering(ordering, g)
+    p = pi1_presentation(g, cycle_basis(g), o)
     ab = abelianise(p)
-    return Report(
-        "pi1",
-        inputs,
-        {
-            "generators": list(p.generator_names),
-            "relators": [list(w) for w in p.relators],
-            "abelianisation": str(ab),
-        },
+    return (
+        {"generators": list(p.generator_names), "relators": [list(w) for w in p.relators],
+         "abelianisation": str(ab)},
         [presentation_text(p), "abelianisation: %s" % ab],
     )
 
 
-def cmd_tlg(args) -> Report:
-    blob, c, g = _load_graph(args)
+def _tlg(g) -> tuple:
     t = tlg(g)
-    return Report(
-        "tlg",
-        {args.combinatorics: _digest(blob)},
-        {
-            "rank": t.rank,
-            "ambient_rank": t.ambient_rank,
-            "generator_forms": len(t.generators),
-        },
-        [
-            "tensor-linking kernel rank: %d" % t.rank,
-            "ambient rank: %d" % t.ambient_rank,
-            "generator forms: %d" % len(t.generators),
-        ],
+    return (
+        {"rank": t.rank, "ambient_rank": t.ambient_rank, "generator_forms": len(t.generators)},
+        ["tensor-linking kernel rank: %d" % t.rank, "ambient rank: %d" % t.ambient_rank,
+         "generator forms: %d" % len(t.generators)],
     )
 
 
-def cmd_lln(args) -> Report:
-    blob, c, g = _load_graph(args)
-    incl = _read(args.inclusion)
+def _lln(g, incl: bytes) -> tuple:
     values = lln(tlg(g), parse_inclusion(incl, g))
-    return Report(
-        "lln",
-        {args.combinatorics: _digest(blob), args.inclusion: _digest(incl)},
+    return (
         {"values": list(values.values), "zero": values.is_zero},
-        [
-            "loop-linking values: %s" % _coords(values.values),
-            "zero: %s" % values.is_zero,
-        ],
+        ["loop-linking values: %s" % _coords(values.values), "zero: %s" % values.is_zero],
     )
+
+
+CHOSEN = "chosen"  # the graph comes from --graph
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    `files` names the file arguments read after the combinatorics, in
+    order; a name starting with "--" is an optional file.  `graph` is None
+    when `run` takes the combinatorics itself, CHOSEN when --graph picks
+    the graph, or the one GraphKind the command works on.  `run` gets the
+    combinatorics or graph and the bytes of each file (None for an
+    optional file not given) and returns (result, lines[, exit_code]).
+    """
+
+    name: str
+    help: str
+    run: Callable[..., tuple]
+    files: tuple[str, ...] = ()
+    graph: GraphKind | str | None = CHOSEN
+
+
+COMMANDS = (
+    Command("validate", "check a combinatorics file", _validate, graph=None),
+    Command("graph-info", "incidence graph summary", _graph_info),
+    Command("stabiliser", "graph stabiliser group", _stabiliser),
+    Command("reduce", "reduce inclusion data to a stabiliser class", _reduce,
+            ("inclusion",)),
+    Command("compare", "compare two inclusion files up to ordering transition",
+            _compare, ("inclusion_a", "inclusion_b")),
+    Command("transition", "transition class between two ordering files",
+            _transition, ("ordering_a", "ordering_b")),
+    Command("pi1", "fundamental-group presentation (reduced graph)", _pi1,
+            ("--ordering",), GraphKind.REDUCED),
+    Command("tlg", "tensor-linking kernel lattice (full graph)", _tlg,
+            graph=GraphKind.FULL),
+    Command("lln", "loop-linking values of inclusion data (full graph)", _lln,
+            ("inclusion",), GraphKind.FULL),
+)
+
+
+def _run(cmd: Command, args) -> Report:
+    """Read and hash the combinatorics, build the graph, then read and hash
+    the other files and hand everything to the command.
+
+    Warnings from the graph build go to stderr as one `warning:` line each.
+    """
+    blob = _read(args.combinatorics)
+    inputs = {args.combinatorics: _digest(blob)}
+    subject = parse_combinatorics(blob)
+    if cmd.graph is not None:
+        kind = GraphKind(args.graph) if cmd.graph == CHOSEN else cmd.graph
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            subject = build_graph(subject, kind)
+        for w in caught:
+            print("warning: %s" % w.message, file=sys.stderr)
+    paths = [getattr(args, name.lstrip("-")) for name in cmd.files]
+    blobs = [_read(path) if path else None for path in paths]
+    inputs.update((path, _digest(b)) for path, b in zip(paths, blobs) if path)
+    return Report(cmd.name, inputs, *cmd.run(subject, *blobs))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    graphed = argparse.ArgumentParser(add_help=False)
+    graphed = argparse.ArgumentParser(add_help=False, parents=[common])
     graphed.add_argument(
         "--graph",
         choices=[k.value for k in GraphKind],
@@ -284,71 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="incidence graph flavour (default: reduced)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="check a combinatorics file")
-    p.add_argument("combinatorics")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "graph-info", parents=[common, graphed], help="incidence graph summary"
-    )
-    p.add_argument("combinatorics")
-    p.set_defaults(func=cmd_graph_info)
-
-    p = sub.add_parser(
-        "stabiliser", parents=[common, graphed], help="graph stabiliser group"
-    )
-    p.add_argument("combinatorics")
-    p.set_defaults(func=cmd_stabiliser)
-
-    p = sub.add_parser(
-        "reduce",
-        parents=[common, graphed],
-        help="reduce inclusion data to a stabiliser class",
-    )
-    p.add_argument("combinatorics")
-    p.add_argument("inclusion")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser(
-        "compare",
-        parents=[common, graphed],
-        help="compare two inclusion files up to ordering transition",
-    )
-    p.add_argument("combinatorics")
-    p.add_argument("inclusion_a")
-    p.add_argument("inclusion_b")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "transition",
-        parents=[common, graphed],
-        help="transition class between two ordering files",
-    )
-    p.add_argument("combinatorics")
-    p.add_argument("ordering_a")
-    p.add_argument("ordering_b")
-    p.set_defaults(func=cmd_transition)
-
-    p = sub.add_parser(
-        "pi1", parents=[common], help="fundamental-group presentation (reduced graph)"
-    )
-    p.add_argument("combinatorics")
-    p.add_argument("--ordering", help="ordering file (default: canonical)")
-    p.set_defaults(func=cmd_pi1)
-
-    p = sub.add_parser(
-        "tlg", parents=[common], help="tensor-linking kernel lattice (full graph)"
-    )
-    p.add_argument("combinatorics")
-    p.set_defaults(func=cmd_tlg, graph=GraphKind.FULL.value)
-
-    p = sub.add_parser(
-        "lln", parents=[common], help="loop-linking values of inclusion data (full graph)"
-    )
-    p.add_argument("combinatorics")
-    p.add_argument("inclusion")
-    p.set_defaults(func=cmd_lln, graph=GraphKind.FULL.value)
+    for cmd in COMMANDS:
+        p = sub.add_parser(
+            cmd.name, parents=[graphed if cmd.graph == CHOSEN else common], help=cmd.help
+        )
+        p.add_argument("combinatorics")
+        for name in cmd.files:
+            if name.startswith("--"):
+                p.add_argument(name, help="%s file (default: canonical)" % name[2:])
+            else:
+                p.add_argument(name)
+        p.set_defaults(func=functools.partial(_run, cmd))
     return parser
 
 
@@ -360,6 +265,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
+        elapsed = time.perf_counter() - start
+        if args.json:
+            print(report.to_json())
+        else:
+            for line in report.lines:
+                print(line)
+            print("elapsed: %.2fs" % elapsed)
+        sys.stdout.flush()
     except NotSupportedError as exc:
         print("not supported: %s" % exc, file=sys.stderr)
         return 4
@@ -367,15 +280,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("invalid: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # Nobody reads stdout any more: point it at devnull, so that the
+            # interpreter's flush at exit does not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - start
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in report.lines:
-            print(line)
-        print("elapsed: %.2fs" % elapsed)
     return report.exit_code
 
 

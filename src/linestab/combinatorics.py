@@ -32,6 +32,20 @@ class NotSupportedError(ValueError):
     """Valid input outside the supported family (e.g. disconnected graph)."""
 
 
+def load_json(text: bytes | str):
+    """Decode a JSON document; bytes are read as UTF-8.
+
+    A document nested too deeply for the decoder raises ValueError, like
+    any other malformed document, instead of RecursionError.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 # ----------------------------------------------------------------------------
 # Combinatorics
 # ----------------------------------------------------------------------------
@@ -105,9 +119,7 @@ def parse_combinatorics(text: bytes | str) -> LineCombinatorics:
     Raises json.JSONDecodeError or ValueError for malformed documents and
     ValidationError for semantically invalid ones.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    doc = json.loads(text)
+    doc = load_json(text)
     if not isinstance(doc, dict) or "n_lines" not in doc or "points" not in doc:
         raise ValueError('expected a JSON object with "n_lines" and "points"')
     if not isinstance(doc["points"], list) or not all(
@@ -474,9 +486,7 @@ def intersect_equations(
 
 def parse_equations(text: bytes | str):
     """Parse {"minpoly": [...], "lines": [[[...],[...],[...]], ...]} JSON."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    doc = json.loads(text)
+    doc = load_json(text)
     if not isinstance(doc, dict) or "minpoly" not in doc or "lines" not in doc:
         raise ValueError('expected a JSON object with "minpoly" and "lines"')
     _check_equation_shapes(doc["lines"], doc["minpoly"])

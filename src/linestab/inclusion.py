@@ -14,13 +14,12 @@ it.  Nothing stronger is claimed either way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .combinatorics import DecoratedGraph, ValidationError
+from .combinatorics import DecoratedGraph, ValidationError, load_json
 from .exactalg import IntMatrix
-from .orderings import GraphOrdering, canonical_ordering, parse_ordering
+from .orderings import GraphOrdering, canonical_ordering, ordering_from_doc
 from .stabiliser import StabiliserClass, StabiliserGroup, reduce_to_class, transition
 
 __all__ = [
@@ -59,7 +58,7 @@ class ComparisonReport:
 
 def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
     """Parse an inclusion-matrix file against the graph it belongs to."""
-    raw = json.loads(text)
+    raw = load_json(text)
     if not isinstance(raw, dict):
         raise ValueError("inclusion file must be a JSON object")
     for key in ("cycles", "matrix", "basis"):
@@ -88,7 +87,7 @@ def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
             raise ValidationError("matrix entries must be integers")
     if "ordering" in raw:
-        ordering = parse_ordering(json.dumps(raw["ordering"]), g)
+        ordering = ordering_from_doc(raw["ordering"], g)
     else:
         ordering = canonical_ordering(g)
     return InclusionMatrix(IntMatrix(matrix, cols=g.vertex_count), ordering, BASIS_TAG)

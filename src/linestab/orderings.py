@@ -16,11 +16,10 @@ transition terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinatorics import DecoratedGraph, GraphKind, ValidationError
+from .combinatorics import DecoratedGraph, GraphKind, ValidationError, load_json
 
 __all__ = [
     "GraphOrdering",
@@ -30,6 +29,7 @@ __all__ = [
     "circular_equal",
     "decompose_adjacent",
     "ordering_difference",
+    "ordering_from_doc",
     "parse_ordering",
     "restrict_ordering",
 ]
@@ -88,7 +88,11 @@ def parse_ordering(text: str | bytes, g: DecoratedGraph) -> GraphOrdering:
     with vertices named by label.  Vertices not mentioned keep the
     canonical order.
     """
-    raw = json.loads(text)
+    return ordering_from_doc(load_json(text), g)
+
+
+def ordering_from_doc(raw, g: DecoratedGraph) -> GraphOrdering:
+    """The ordering described by an already decoded ordering document."""
     if not isinstance(raw, dict) or not isinstance(raw.get("order", None), dict):
         raise ValueError('ordering file must be an object with an "order" mapping')
     rows = list(g.neighbours)

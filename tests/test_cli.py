@@ -104,6 +104,29 @@ def test_empty_arrangement_not_supported(tmp_path, capsys, argv):
     assert out.err == "not supported: graph has no vertices\n"
 
 
+def test_closed_stdout_is_one_error_line():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linestab.cli", "validate", MACLANE, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["reduce", MACLANE]], ids=["validate", "reduce"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main([*argv, str(nested)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: JSON document is nested too deeply\n"
+
+
 def test_missing_file_is_usage_error():
     result = run_cli("validate", "/nonexistent/input.json")
     assert result.returncode == 1

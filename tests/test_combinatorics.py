@@ -15,6 +15,8 @@ from linestab.combinatorics import (
     parse_combinatorics,
     parse_equations,
 )
+from linestab.inclusion import parse_inclusion
+from linestab.orderings import parse_ordering
 
 
 def test_parse_quadruplet_list():
@@ -220,3 +222,27 @@ def test_equations_reject_malformed_shapes(doc):
         parse_equations(json.dumps(doc))
     with pytest.raises(ValidationError):
         intersect_equations(doc["lines"], doc["minpoly"])
+
+
+NESTED = "[" * 100000 + "]" * 100000
+
+
+def _k4():
+    return build_graph(datasets.generic(4), GraphKind.REDUCED)
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        parse_combinatorics,
+        parse_equations,
+        lambda text: parse_ordering(text, _k4()),
+        lambda text: parse_inclusion(text, _k4()),
+    ],
+    ids=["combinatorics", "equations", "ordering", "inclusion"],
+)
+@pytest.mark.parametrize("text", [NESTED, NESTED.encode()], ids=["str", "bytes"])
+def test_deeply_nested_json_is_a_value_error(parse, text):
+    with pytest.raises(ValueError, match="nested too deeply") as info:
+        parse(text)
+    assert type(info.value) is ValueError

@@ -16,7 +16,7 @@ from linestab.inclusion import (
     invariant,
     parse_inclusion,
 )
-from linestab.orderings import canonical_ordering
+from linestab.orderings import canonical_ordering, parse_ordering
 from linestab.stabiliser import lift_to_chains, transition
 
 from conftest import reduced_graph
@@ -94,6 +94,32 @@ def test_parse_rejects_bad_files(k4_stab):
     with pytest.raises(ValidationError, match="cycles"):
         parse_inclusion(json.dumps({"cycles": True, "matrix": [[0] * 3],
                                     "basis": BASIS_TAG}), k3)
+
+
+@pytest.mark.parametrize("ordering", [
+    {"order": {"L0": ["L3", "L1", "L2"]}},
+    {"order": {"L0": ["L3", "L1"]}},
+    {"order": {"L9": []}},
+    {"order": {"L0": 5}},
+    {"order": {"L0": [3, 1, 2]}},
+    {"order": []},
+    {"orders": {}},
+    [1],
+    None,
+], ids=["valid", "not-a-permutation", "unknown-label", "not-a-list", "int-labels",
+        "order-not-a-mapping", "no-order-key", "list", "null"])
+def test_embedded_ordering_matches_ordering_file(k4_stab, ordering):
+    """An inclusion file's "ordering" passes the checks of an ordering file."""
+    g = k4_stab.graph
+    doc = incl_json(g, [[0] * 4] * 3, ordering=ordering)
+    try:
+        expected = parse_ordering(json.dumps(ordering), g)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_inclusion(doc, g)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_inclusion(doc, g).ordering == expected
 
 
 # ----------------------------------------------------------------------------
