@@ -223,8 +223,8 @@ def _run(cmd: Command, args) -> Report:
         for w in caught:
             print("warning: %s" % w.message, file=sys.stderr)
     paths = [getattr(args, name.lstrip("-")) for name in cmd.files]
-    blobs = [_read(path) if path else None for path in paths]
-    inputs.update((path, _digest(b)) for path, b in zip(paths, blobs) if path)
+    blobs = [None if path is None else _read(path) for path in paths]
+    inputs.update((path, _digest(b)) for path, b in zip(paths, blobs) if path is not None)
     return Report(cmd.name, inputs, *cmd.run(subject, *blobs))
 
 

@@ -310,12 +310,6 @@ class NumberField:
         poly = [Fraction(c) for c in coeffs]
         return self._reduce(poly)
 
-    def zero(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * self.degree
-
-    def one(self) -> tuple[Fraction, ...]:
-        return self.element([1])
-
     def _reduce(self, poly: list[Fraction]) -> tuple[Fraction, ...]:
         d = self.degree
         poly = poly[:]
@@ -328,20 +322,11 @@ class NumberField:
         poly.extend([Fraction(0)] * (d - len(poly)))
         return tuple(poly)
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
 
     def mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree - 1 if self.degree > 1 else 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return self._reduce(out)
+        return self._reduce(_poly_mul(a, b))
 
     def is_zero(self, a) -> bool:
         return not any(a)

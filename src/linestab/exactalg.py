@@ -394,8 +394,6 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
     its rank is n minus the rank of forms.
     """
     n = forms.cols
-    if forms.rows == 0:
-        return IntMatrix.identity(n)
     # Rows of forms^T (n x k); we want row vectors x with x @ forms^T == 0.
     m: list[dict[int, int]] = [{} for _ in range(n)]
     for f, row in enumerate(forms.data):
@@ -465,10 +463,6 @@ class AbelianGroup:
             y[k] %= d
         return tuple(y)
 
-    def project(self, x: Sequence[int]) -> list[int]:
-        """x in Smith coordinates without canonicalisation (stays linear)."""
-        return vec_mat(list(x), self.to_smith)
-
     def lift(self, coords: Sequence[int]) -> list[int]:
         """An ambient representative of the class with these coordinates."""
         return vec_mat(list(coords), self.from_smith)
@@ -512,9 +506,6 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
             f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
         )
     n = ambient_rank
-    if relations.rows == 0:
-        ident = IntMatrix.identity(n)
-        return AbelianGroup(n, relations, (), n, ident, ident)
     diag, _, vt, vinv = _smith_engine(
         _sparse_rows(relations), n, want_u=False, want_v=True, want_vinv=True
     )

@@ -15,10 +15,12 @@ Euler numbers, the group is presented instead by eliminating each point
 against the sum of its lines and killing the total sum of lines; both
 presentations give a free group of rank one less than the line count.
 
-Relation generators, transition swaps and tensor-linking forms are all
-sums of terms c * zeta_e (x) pi_u: an edge's column of the cycle map
-tensored with a vertex's meridian projection.  Both are kept sparse, and
-add_tensor() is the one place that writes such a term.
+Relation generators, transition swaps, tensor-linking forms and
+inclusion data are all sums of terms c * zeta (x) pi_u: a column of
+cycle coefficients (an edge's column of the cycle map, or a vertex's
+column of an inclusion matrix, chains_to_hom()) tensored with a vertex's
+meridian projection.  Both are kept sparse, and add_tensor() is the one
+place that writes such a term.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .combinatorics import DecoratedGraph, GraphKind
+from .combinatorics import DecoratedGraph, GraphKind, ValidationError
 from .exactalg import AbelianGroup, IntMatrix, quotient_group
 
 __all__ = [
     "CycleBasis",
     "MeridianHomology",
     "add_tensor",
-    "boundary_matrix",
+    "chains_to_hom",
     "cycle_basis",
     "meridian_homology",
     "verify_h1e",
@@ -77,41 +79,24 @@ def cycle_basis(g: DecoratedGraph, root: int = 0) -> CycleBasis:
                 tree.add((min(v, w), max(v, w)))
                 queue.append(w)
 
-    def path_from_root(x: int) -> list[int]:
-        path = [x]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
     non_tree = tuple(e for e in g.edges if e not in tree)
     rows = []
     for v, w in non_tree:
         row = [0] * g.edge_count
         row[g.edge_position(v, w)] = 1
-        pv, pw = path_from_root(v), path_from_root(w)
-        lca = 0
-        while lca + 1 < min(len(pv), len(pw)) and pv[lca + 1] == pw[lca + 1]:
-            lca += 1
-        walk = pw[lca:][::-1] + pv[lca + 1:]  # w down to lca, then up to v
-        for a, b in zip(walk, walk[1:]):
-            row[g.edge_position(a, b)] += 1 if a < b else -1
+        # Then w up to the root and back down to v: the segment both tree
+        # paths share cancels.
+        for x, sign in ((w, 1), (v, -1)):
+            while parent[x] is not None:
+                p = parent[x]
+                row[g.edge_position(x, p)] += sign if x < p else -sign
+                x = p
         rows.append(tuple(row))
     zeta = IntMatrix(tuple(rows), cols=g.edge_count)
     edge_cycles = tuple(
         tuple((i, c) for i, c in enumerate(zeta.column(e)) if c) for e in range(g.edge_count)
     )
     return CycleBasis(g, root, tuple(sorted(tree)), non_tree, zeta, edge_cycles)
-
-
-def boundary_matrix(g: DecoratedGraph) -> IntMatrix:
-    """Edge boundaries as rows: -1 at the low vertex, +1 at the high one."""
-    rows = []
-    for v, w in g.edges:
-        row = [0] * g.vertex_count
-        row[v], row[w] = -1, 1
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows), cols=g.vertex_count)
 
 
 @dataclass(frozen=True)
@@ -162,6 +147,24 @@ def add_tensor(acc: list[int], c: int, cycles, coords, cycle_stride: int, coord_
         base = i * cycle_stride
         for s, p in coords:
             acc[base + s * coord_stride] += cz * p
+
+
+def chains_to_hom(
+    m: IntMatrix, mh: MeridianHomology, cycle_stride: int, coord_stride: int
+) -> list[int]:
+    """The cycle-by-vertex matrix m as sum of m[i][u] * e_i (x) pi_u, a flat
+    list of cycle rank * coord_count entries at add_tensor's strides."""
+    g = mh.graph
+    rank = g.edge_count - g.vertex_count + 1
+    if m.shape != (rank, g.vertex_count):
+        raise ValidationError(
+            "expected a %d x %d matrix, got %d x %d" % (rank, g.vertex_count, m.rows, m.cols)
+        )
+    acc = [0] * (rank * mh.group.coord_count)
+    for u, coords in enumerate(mh.projections):
+        cycles = [(i, x) for i, x in enumerate(m.column(u)) if x]
+        add_tensor(acc, 1, cycles, coords, cycle_stride, coord_stride)
+    return acc
 
 
 def verify_h1e(m: MeridianHomology, n_lines: int) -> bool:

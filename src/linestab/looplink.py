@@ -8,9 +8,9 @@ those coordinates, pi_u (x) zeta_e (graphhomology.add_tensor at
 meridian-major strides).  The group itself is the kernel lattice of all
 the forms.
 
-Loop-linking values pair a kernel basis row against inclusion data: the
-inclusion matrix is projected to meridian coordinates, composed with the
-basis row, and the trace of the resulting endomorphism is the value.
+Loop-linking values pair a kernel basis row against inclusion data,
+written in the same coordinates by graphhomology.chains_to_hom: their
+dot product is the trace of the row composed with the inclusion matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .combinatorics import DecoratedGraph, GraphKind, ValidationError
 from .exactalg import IntMatrix, lattice_kernel
 from .graphhomology import (
-    CycleBasis, MeridianHomology, add_tensor, cycle_basis, meridian_homology,
+    CycleBasis, MeridianHomology, add_tensor, chains_to_hom, cycle_basis, meridian_homology,
 )
 from .inclusion import InclusionMatrix
 from .stabiliser import gs_generator_terms
@@ -100,20 +100,9 @@ def lln(t: TensorLinkingGroup, m: InclusionMatrix) -> LoopLinkingNumber:
     """Trace pairing of every lattice basis row with the inclusion data."""
     if m.ordering.graph != t.graph:
         raise ValidationError("inclusion data belongs to a different graph")
-    tdim = t.mh.group.coord_count
-    k = t.basis.rank
-    to_mh = m.matrix @ t.mh.group.to_smith  # cycle coords -> meridian coords
-    values = []
-    for row in t.lattice.data:
-        trace = 0
-        for i in range(tdim):
-            base = i * k
-            for j in range(k):
-                c = row[base + j]
-                if c:
-                    trace += c * to_mh.data[j][i]
-        values.append(trace)
-    return LoopLinkingNumber(tuple(values))
+    x = chains_to_hom(m.matrix, t.mh, 1, t.basis.rank)
+    values = tuple(sum(a * b for a, b in zip(row, x)) for row in t.lattice.data)
+    return LoopLinkingNumber(values)
 
 
 def verify_lemma_gs_tlg(g: DecoratedGraph) -> bool:

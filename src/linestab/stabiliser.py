@@ -6,8 +6,9 @@ short list of (edge, vertex, coefficient) terms, an element of
 hom(C1, C0) with at most two nonzero entries.  Pushing a term into
 hom(H1, MH) adds c * zeta_e (x) pi_u: the edge's column of the cycle
 decomposition map tensored with the vertex's meridian projection
-(graphhomology.add_tensor), flattened cycle-major.  Classes in the
-quotient are what the comparison workflow trades in.
+(graphhomology.add_tensor), flattened cycle-major, and so is inclusion
+data (graphhomology.chains_to_hom).  Classes in the quotient are what the
+comparison workflow trades in.
 
 Transitions between orderings are accumulated per vertex by walking the
 adjacent-transposition word of the position permutation.  Each swap is
@@ -25,7 +26,7 @@ from typing import Sequence
 from .combinatorics import DecoratedGraph, ValidationError
 from .exactalg import AbelianGroup, IntMatrix, quotient_group
 from .graphhomology import (
-    CycleBasis, MeridianHomology, add_tensor, cycle_basis, meridian_homology,
+    CycleBasis, MeridianHomology, add_tensor, chains_to_hom, cycle_basis, meridian_homology,
 )
 from .orderings import GraphOrdering, decompose_adjacent, ordering_difference
 
@@ -147,17 +148,10 @@ def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:
 
 
 def reduce_to_class(s: StabiliserGroup, m: IntMatrix) -> StabiliserClass:
-    """Class of a cycle-by-vertex matrix: project each row to meridian
-    coordinates, flatten, reduce in the quotient."""
-    if m.shape != (s.basis.rank, s.graph.vertex_count):
-        raise ValidationError(
-            "expected a %d x %d matrix, got %d x %d"
-            % (s.basis.rank, s.graph.vertex_count, m.rows, m.cols)
-        )
-    flat: list[int] = []
-    for row in m.data:
-        flat.extend(s.mh.group.project(row))
-    return StabiliserClass(s.group, s.group.reduce(flat))
+    """Class of a cycle-by-vertex matrix: push it into flattened
+    hom(H1, MH) coordinates like the relations, reduce in the quotient."""
+    t = s.mh.group.coord_count
+    return StabiliserClass(s.group, s.group.reduce(chains_to_hom(m, s.mh, t, 1)))
 
 
 def lift_to_chains(s: StabiliserGroup, flat: Sequence[int]) -> IntMatrix:

@@ -130,6 +130,8 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
 def test_missing_file_is_usage_error():
     result = run_cli("validate", "/nonexistent/input.json")
     assert result.returncode == 1
+    # An empty path is a missing file too, also for the optional --ordering.
+    assert cli.main(["pi1", MACLANE, "--ordering", ""]) == 1
 
 
 def test_unknown_command_is_usage_error():

@@ -1,5 +1,6 @@
-"""Fuzzing `cli.main`: every command, fed arbitrary JSON as each file
-argument, ends with one of the documented exit codes and never raises."""
+"""Fuzzing `cli.main`: every command, fed arbitrary JSON or an empty path
+as each file argument, ends with one of the documented exit codes and
+never raises."""
 
 import contextlib
 import io
@@ -55,6 +56,8 @@ inclusion_docs = st.fixed_dictionaries(
         "ordering": ordering_docs | values,
     },
 )
+# Drawn in place of a document: the file argument is the empty path "".
+EMPTY_PATH = object()
 documents = st.one_of(
     values.map(json.dumps),
     combinatorics_docs.map(json.dumps),
@@ -62,6 +65,7 @@ documents = st.one_of(
     inclusion_docs.map(json.dumps),
     st.just("[" * 100000 + "]" * 100000),
     st.text(max_size=8),
+    st.just(EMPTY_PATH),
 )
 
 
@@ -94,6 +98,8 @@ def test_main_maps_every_input_to_an_exit_code(workdir, data):
     argv = [cmd.name]
 
     def write(name, text):
+        if text is EMPTY_PATH:
+            return ""
         path = workdir / ("%s.json" % name)
         path.write_text(text, encoding="utf-8")
         return str(path)

@@ -101,6 +101,7 @@ def test_quotient_primitive_row():
 def test_quotient_no_relations():
     g = quotient_group(5, IntMatrix([], cols=5))
     assert g.torsion == () and g.free_rank == 5
+    assert g.to_smith == g.from_smith == IntMatrix.identity(5)
     assert g.reduce([1, 2, 3, 4, 5]) == (1, 2, 3, 4, 5)
 
 
@@ -310,6 +311,7 @@ def test_lattice_kernel_goldens():
     assert lattice_kernel(IntMatrix([[1, 1]])).to_lists() == [[1, -1]]
     assert lattice_kernel(IntMatrix([[2, 4]])).to_lists() == [[2, -1]]
     assert lattice_kernel(IntMatrix([], cols=3)) == IntMatrix.identity(3)
+    assert lattice_kernel(IntMatrix.identity(2)) == IntMatrix([], cols=2)
 
 
 def test_lattice_kernel_rank_and_soundness():

@@ -7,12 +7,22 @@ import sympy
 
 from linestab import datasets
 from linestab.combinatorics import GraphKind, build_graph
+from linestab.exactalg import IntMatrix
 from linestab.graphhomology import (
-    boundary_matrix,
     cycle_basis,
     meridian_homology,
     verify_h1e,
 )
+
+
+def boundary_matrix(g):
+    """Edge boundaries as rows: -1 at the low vertex, +1 at the high one."""
+    rows = []
+    for v, w in g.edges:
+        row = [0] * g.vertex_count
+        row[v], row[w] = -1, 1
+        rows.append(tuple(row))
+    return IntMatrix(tuple(rows), cols=g.vertex_count)
 
 
 def reduced(c):

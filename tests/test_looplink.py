@@ -3,7 +3,6 @@
 import random
 
 import pytest
-import sympy
 
 from linestab import datasets
 from linestab.combinatorics import GraphKind, ValidationError, build_graph
@@ -77,11 +76,38 @@ def test_basis_annihilates_every_form():
             assert sum(a * b for a, b in zip(form, row)) == 0
 
 
+def bareiss_rank(rows):
+    """Rank by fraction-free (Bareiss) elimination: after each pivot every
+    entry is a minor of the input, so each division is exact."""
+    a = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        p = top[col]
+        for r in range(rank + 1, len(a)):
+            x = a[r][col]
+            a[r] = [(p * y - x * z) // prev for y, z in zip(a[r], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def test_bareiss_rank_goldens():
+    assert bareiss_rank([]) == 0
+    assert bareiss_rank([[0, 0], [0, 0]]) == 0
+    assert bareiss_rank([[2, 4], [1, 2]]) == 1
+    assert bareiss_rank([[0, 2, 1], [0, 4, 2], [3, 0, 1]]) == 2
+    assert bareiss_rank([[2, 3, 5], [7, 11, 13], [17, 19, 23]]) == 3
+
+
 def test_rank_complements_form_rank():
     for c in (datasets.generic(4), datasets.maclane()):
         t = tlg(full_graph(c))
-        rank = sympy.Matrix(forms_of(t)).rank()
-        assert t.rank == t.ambient_rank - rank
+        assert t.rank == t.ambient_rank - bareiss_rank(forms_of(t))
 
 
 def test_lemma_gs_tlg_holds():
@@ -190,3 +216,10 @@ def test_lln_rejects_foreign_graph():
     )
     with pytest.raises(ValidationError):
         lln(t, m)
+
+
+def test_lln_rejects_wrong_shape():
+    t = tlg(full_graph(datasets.maclane()))
+    for rows in (t.basis.rank - 1, t.basis.rank + 1):
+        with pytest.raises(ValidationError):
+            lln(t, incl(t, IntMatrix.zeros(rows, t.graph.vertex_count)))
