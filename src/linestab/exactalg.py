@@ -10,9 +10,13 @@ Conventions, used package-wide:
 * Row vectors.  A matrix M with a rows and b columns represents the
   homomorphism Z^a -> Z^b sending x to x*M, and a lattice is the span of a
   matrix's rows.
-* Sparse rows.  The Smith engine keeps the working matrix and its
-  transforms as rows of {column: value}; a row swap moves one list slot
+* Sparse rows.  The Smith engine keeps the working matrix and its row
+  transform as rows of {column: value}; a row swap moves one list slot
   and a column swap only updates a position permutation.
+* Column log.  The column transform v is never stored.  The engine logs
+  each column operation, and a vector is mapped through v (or v^-1) by
+  replaying the log forward (or backward); dense transforms are built
+  from the same log only where a caller asks for the matrix.
 * Determinism.  Eliminations pick the nonzero entry of least absolute value
   as pivot, breaking ties by lowest current row position, then lowest
   current column position.  Identical inputs give bit-identical outputs on
@@ -22,6 +26,7 @@ Conventions, used package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -104,20 +109,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def vec_mat(x: Sequence[int], m: IntMatrix) -> list[int]:
-    """Row vector times matrix, as plain lists of ints."""
-    if len(x) != m.rows:
-        raise ValueError(f"vector of length {len(x)} against {m.shape} matrix")
-    acc = [0] * m.cols
-    for i, xi in enumerate(x):
-        if xi:
-            row = m.data[i]
-            for j, y in enumerate(row):
-                if y:
-                    acc[j] += xi * y
-    return acc
-
-
 # ----------------------------------------------------------------------------
 # Smith normal form
 # ----------------------------------------------------------------------------
@@ -156,25 +147,49 @@ def _dense(row: dict[int, int], width: int) -> list[int]:
     return out
 
 
-def _smith_engine(
-    a: list[dict[int, int]], cols: int, want_u: bool, want_v: bool, want_vinv: bool
-):
+def _replay(ops, y: list[int]) -> list[int]:
+    """y := y @ v in place, v being the column transform that ops logs."""
+    for c, steps in ops:
+        x = y[c]
+        if x:
+            for k, q in steps:
+                y[k] -= q * x
+    return y
+
+
+def _replay_inverse(ops, w: list[int]) -> list[int]:
+    """w := w @ v^-1 in place: each logged step undone, last step first."""
+    for c, steps in reversed(ops):
+        x = w[c]
+        if x:
+            for k, q in steps:
+                w[k] += q * x
+    return w
+
+
+def _transform_rows(ops, n: int) -> list[list[int]]:
+    """Rows of the n x n column transform v, its columns indexed by column id."""
+    return [_replay(ops, [int(i == j) for j in range(n)]) for i in range(n)]
+
+
+def _smith_engine(a: list[dict[int, int]], cols: int, want_u: bool, want_ops: bool):
     """Shared elimination core on sparse rows {column: value}.
 
-    Consumes a.  Returns (diag, u, vt, vinv): diag lists the min(rows, cols)
-    diagonal entries, u collects the row operations, vt holds the columns
-    of the column transform v as rows, and vinv is v's inverse, all as
-    sparse rows.  Any transform not requested is None.
+    Consumes a.  Returns (diag, u, ops, col_at): diag lists the
+    min(rows, cols) diagonal entries, u collects the row operations as
+    sparse rows, ops logs the column operations in order, and col_at[k] is
+    the id of the column that ends at position k.  Each ops entry is
+    (c, ((k, q), ...)), meaning column k -= q * column c for each pair;
+    replaying the log on the identity gives the column transform v.  u and
+    ops are None when not requested.
 
     Rows move by swapping list slots.  Columns never move: pos[c] is the
-    current position of column c and col_at[k] the column at position k,
-    so vt and vinv are kept per column and put in position order at the
-    end.  Rows at positions >= t only hold columns at positions >= t.
+    current position of column c, so ops speaks of column ids.  Rows at
+    positions >= t only hold columns at positions >= t.
     """
     rows = len(a)
     u = [{i: 1} for i in range(rows)] if want_u else None
-    vt = [{j: 1} for j in range(cols)] if want_v else None
-    vinv = [{j: 1} for j in range(cols)] if want_vinv else None
+    ops = [] if want_ops else None
     pos = list(range(cols))
     col_at = list(range(cols))
 
@@ -231,6 +246,7 @@ def _smith_engine(
 
         # Column c is clear except for the pivot, so a column operation only
         # changes row t.
+        steps = []
         for k, x in list(pivot_row.items()):
             if k == c:
                 continue
@@ -241,12 +257,11 @@ def _smith_engine(
                     pivot_row[k] = x
                 else:
                     del pivot_row[k]
-                if vt is not None:
-                    _axpy(vt[k], -q, vt[c])
-                if vinv is not None:
-                    _axpy(vinv[c], q, vinv[k])
+                steps.append((k, q))
             if x:
                 dirty = True
+        if ops is not None and steps:
+            ops.append((c, tuple(steps)))
         if dirty:
             continue
 
@@ -265,11 +280,7 @@ def _smith_engine(
         t += 1
 
     diag = [a[k].get(col_at[k], 0) for k in range(limit)]
-    if vt is not None:
-        vt = [vt[c] for c in col_at]
-    if vinv is not None:
-        vinv = [vinv[c] for c in col_at]
-    return diag, u, vt, vinv
+    return diag, u, ops, col_at
 
 
 def smith(mat: IntMatrix) -> SmithDecomposition:
@@ -280,16 +291,11 @@ def smith(mat: IntMatrix) -> SmithDecomposition:
     dividing the next.
     """
     rows, cols = mat.rows, mat.cols
-    diag, u, vt, _ = _smith_engine(
-        _sparse_rows(mat), cols, want_u=True, want_v=True, want_vinv=False
-    )
+    diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), cols, want_u=True, want_ops=True)
     d = [[0] * cols for _ in range(rows)]
     for k, x in enumerate(diag):
         d[k][k] = x
-    v = [[0] * cols for _ in range(cols)]
-    for k, column in enumerate(vt):
-        for i, x in column.items():
-            v[i][k] = x
+    v = [[row[c] for c in col_at] for row in _transform_rows(ops, cols)]
     return SmithDecomposition(
         u=IntMatrix([_dense(r, rows) for r in u], cols=rows),
         d=IntMatrix(d, cols=cols),
@@ -400,7 +406,7 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
         for x, value in enumerate(row):
             if value:
                 m[x][f] = value
-    diag, u, _, _ = _smith_engine(m, forms.rows, want_u=True, want_v=False, want_vinv=False)
+    diag, u, _, _ = _smith_engine(m, forms.rows, want_u=True, want_ops=False)
     rank = sum(1 for x in diag if x)
     if rank == n:
         return IntMatrix([], cols=n)
@@ -415,17 +421,22 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
 class AbelianGroup:
     """Z^n modulo the row span of a relation matrix.
 
-    Instances come from quotient_group().  The group is recorded both by its
-    invariants (torsion orders, free rank) and by an explicit pair of
+    Instances come from quotient_group().  The group is recorded by its
+    invariants (torsion orders, free rank) and by the Smith engine's column
+    log with the ids of the columns it retains, which together give the
     coordinate maps:
 
-    * to_smith, n x t: ambient row vector -> Smith coordinates,
-    * from_smith, t x n: Smith coordinates -> an ambient representative,
+    * reduce() replays the log forward, reads the retained columns and takes
+      each torsion coordinate to its canonical residue, so two ambient
+      vectors reduce equally iff their difference lies in the relation
+      lattice;
+    * lift() places coordinates on the retained columns and replays the log
+      backward, giving an ambient representative.
 
-    where t = len(torsion) + free_rank.  Torsion coordinates come first, in
-    ascending order of their annihilators, then the free coordinates.
-    reduce() composes to_smith with canonical residues, so two ambient
-    vectors reduce equally iff their difference lies in the relation lattice.
+    Torsion coordinates come first, in ascending order of their
+    annihilators, then the free coordinates.  The same maps as matrices,
+    to_smith (n x t, before residues) and from_smith (t x n), where
+    t = len(torsion) + free_rank, are built from the log on first use.
     """
 
     def __init__(
@@ -434,15 +445,15 @@ class AbelianGroup:
         presentation: IntMatrix,
         torsion: tuple[int, ...],
         free_rank: int,
-        to_smith: IntMatrix,
-        from_smith: IntMatrix,
+        ops,
+        retained: Sequence[int],
     ):
         self.ambient_rank = ambient_rank
         self.presentation = presentation
         self.torsion = torsion
         self.free_rank = free_rank
-        self.to_smith = to_smith
-        self.from_smith = from_smith
+        self._ops = ops
+        self._retained = tuple(retained)
 
     @property
     def coord_count(self) -> int:
@@ -452,20 +463,45 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
 
+    @cached_property
+    def to_smith(self) -> IntMatrix:
+        """n x t matrix: ambient row vector -> Smith coordinates."""
+        rows = _transform_rows(self._ops, self.ambient_rank)
+        return IntMatrix(
+            [[row[j] for j in self._retained] for row in rows], cols=self.coord_count
+        )
+
+    @cached_property
+    def from_smith(self) -> IntMatrix:
+        """t x n matrix: Smith coordinates -> an ambient representative."""
+        n = self.ambient_rank
+        return IntMatrix(
+            [_replay_inverse(self._ops, [int(i == j) for i in range(n)]) for j in self._retained],
+            cols=n,
+        )
+
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the class of x.
 
         Torsion coordinates are residues in [0, d); free coordinates are
         exact integers.
         """
-        y = vec_mat(list(x), self.to_smith)
+        if len(x) != self.ambient_rank:
+            raise ValueError(f"vector of length {len(x)} against ambient rank {self.ambient_rank}")
+        y = _replay(self._ops, list(x))
+        out = [y[j] for j in self._retained]
         for k, d in enumerate(self.torsion):
-            y[k] %= d
-        return tuple(y)
+            out[k] %= d
+        return tuple(out)
 
     def lift(self, coords: Sequence[int]) -> list[int]:
         """An ambient representative of the class with these coordinates."""
-        return vec_mat(list(coords), self.from_smith)
+        if len(coords) != self.coord_count:
+            raise ValueError(f"{len(coords)} coordinates against {self.coord_count}")
+        w = [0] * self.ambient_rank
+        for j, x in zip(self._retained, coords):
+            w[j] = x
+        return _replay_inverse(self._ops, w)
 
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.coord_count:
@@ -506,24 +542,8 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
             f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
         )
     n = ambient_rank
-    diag, _, vt, vinv = _smith_engine(
-        _sparse_rows(relations), n, want_u=False, want_v=True, want_vinv=True
-    )
+    diag, _, ops, col_at = _smith_engine(_sparse_rows(relations), n, want_u=False, want_ops=True)
     diagonal = diag + [0] * (n - len(diag))
-    retained = [i for i in range(n) if diagonal[i] != 1]
-    torsion = tuple(diagonal[i] for i in retained if diagonal[i] > 1)
-    free_rank = len(retained) - len(torsion)
-    # vt rows are the columns of the column transform v.
-    to_smith = [[0] * len(retained) for _ in range(n)]
-    for k, j in enumerate(retained):
-        for i, x in vt[j].items():
-            to_smith[i][k] = x
-    from_smith = [_dense(vinv[j], n) for j in retained]
-    return AbelianGroup(
-        n,
-        relations,
-        torsion,
-        free_rank,
-        IntMatrix(to_smith, cols=len(retained)),
-        IntMatrix(from_smith, cols=n),
-    )
+    retained = [col_at[k] for k in range(n) if diagonal[k] != 1]
+    torsion = tuple(x for x in diagonal if x > 1)
+    return AbelianGroup(n, relations, torsion, len(retained) - len(torsion), ops, retained)

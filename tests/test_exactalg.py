@@ -15,7 +15,6 @@ from linestab.exactalg import (
     lattice_members,
     quotient_group,
     smith,
-    vec_mat,
 )
 
 
@@ -341,11 +340,6 @@ def test_lattice_kernel_is_saturated():
                 assert lattice_member(ker, x)
 
 
-def test_vec_mat_shape_check():
-    with pytest.raises(ValueError):
-        vec_mat([1, 2, 3], IntMatrix.identity(2))
-
-
 def test_matmul_shape_check():
     with pytest.raises(ValueError):
         IntMatrix.identity(2) @ IntMatrix.identity(3)
@@ -355,3 +349,5 @@ def test_reduce_dimension_mismatch():
     g = quotient_group(2, IntMatrix([[2, 0]]))
     with pytest.raises(ValueError):
         g.reduce([1, 2, 3])
+    with pytest.raises(ValueError):
+        g.lift([1, 2, 3])

@@ -3,10 +3,13 @@
 ref_smith_engine and ref_least_abs_pivot below are verbatim copies of the
 dense elimination the package used before the engine moved onto sparse
 rows.  The sparse engine promises the same pivot sequence and the same
-row and column operations, so its diagonal and its transforms u, vt and
-vinv must equal the reference's exactly, for every combination of
-requested transforms; smith(), quotient_group() and lattice_kernel() must
-then equal what the dense engine made of the same output.
+row and column operations.  It logs its column operations instead of
+carrying the column transform, so engine() below rebuilds vt (the columns
+of v, as rows) and vinv (v's inverse) from that log.  Its diagonal, u, vt
+and vinv must equal the reference's exactly, for every combination of
+requested outputs; smith(), quotient_group() with its reduce() and lift(),
+and lattice_kernel() must then equal what the dense engine made of the
+same output.
 
 The reference takes about 5 s on each Rybnikov matrix, so those three are
 pinned by digest instead: RYBNIKOV_DIGESTS holds the SHA-256 of
@@ -28,7 +31,6 @@ from linestab import datasets
 from linestab import looplink
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.exactalg import (
-    AbelianGroup,
     IntMatrix,
     SmithDecomposition,
     _smith_engine,
@@ -38,7 +40,7 @@ from linestab.exactalg import (
     quotient_group,
     smith,
 )
-from linestab.graphhomology import cycle_basis, meridian_homology
+from linestab.graphhomology import chains_to_hom, cycle_basis, meridian_homology
 from linestab.orderings import canonical_ordering
 from linestab.pi1 import abelianise, pi1_presentation
 from linestab.stabiliser import _push_to_hom, stabiliser
@@ -161,6 +163,7 @@ def ref_smith(mat, out):
 
 
 def ref_quotient_group(relations, out):
+    """(torsion, free_rank, to_smith, from_smith) of the quotient."""
     n = relations.cols
     diag, _, vt, vinv = out
     diagonal = [diag[i][i] if i < relations.rows else 0 for i in range(n)]
@@ -170,9 +173,20 @@ def ref_quotient_group(relations, out):
         [[vt[j][i] for j in retained] for i in range(n)], cols=len(retained)
     )
     from_smith = IntMatrix([vinv[j] for j in retained], cols=n)
-    return AbelianGroup(
-        n, relations, torsion, len(retained) - len(torsion), to_smith, from_smith
-    )
+    return torsion, len(retained) - len(torsion), to_smith, from_smith
+
+
+def ref_vec_mat(x, m):
+    """Row vector x times the matrix m."""
+    assert len(x) == m.rows
+    return [sum(x[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)]
+
+
+def ref_reduce(x, torsion, to_smith):
+    y = ref_vec_mat(x, to_smith)
+    for k, d in enumerate(torsion):
+        y[k] %= d
+    return tuple(y)
 
 
 def ref_lattice_kernel(m, out):
@@ -303,9 +317,35 @@ def dense(rows, width):
     return out
 
 
-def engine(mat, want_u, want_v, want_vinv):
-    diag, u, vt, vinv = _smith_engine(_sparse_rows(mat), mat.cols, want_u, want_v, want_vinv)
-    return diag, dense(u, mat.rows), dense(vt, mat.cols), dense(vinv, mat.cols)
+def sparse_axpy(dst, q, src):
+    for k, z in src.items():
+        y = dst.get(k, 0) + q * z
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
+
+
+def engine(mat, want_u, want_ops):
+    """(diag, u, vt, vinv) with vt and vinv rebuilt from the column log.
+
+    Each logged step (c, k, q) is column k -= q * column c: vt[k] -= q * vt[c]
+    and vinv[c] += q * vinv[k], with vt and vinv indexed by column id; col_at
+    then puts them in position order.
+    """
+    n = mat.cols
+    diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), n, want_u, want_ops)
+    vt = vinv = None
+    if ops is not None:
+        vt = [{j: 1} for j in range(n)]
+        vinv = [{j: 1} for j in range(n)]
+        for c, steps in ops:
+            for k, q in steps:
+                sparse_axpy(vt[k], -q, vt[c])
+                sparse_axpy(vinv[c], q, vinv[k])
+        vt = [vt[c] for c in col_at]
+        vinv = [vinv[c] for c in col_at]
+    return diag, dense(u, mat.rows), dense(vt, n), dense(vinv, n)
 
 
 # ----------------------------------------------------------------------------
@@ -314,9 +354,9 @@ def engine(mat, want_u, want_v, want_vinv):
 
 
 def test_hand_made_cases_reach_every_step():
-    assert engine(HAND_MADE["fold-in"], False, False, False)[0] == [1, 6]
-    assert engine(HAND_MADE["remainder-below"], False, False, False)[0] == [1]
-    assert engine(HAND_MADE["remainder-right"], False, False, False)[0] == [1]
+    assert engine(HAND_MADE["fold-in"], False, False)[0] == [1, 6]
+    assert engine(HAND_MADE["remainder-below"], False, False)[0] == [1]
+    assert engine(HAND_MADE["remainder-right"], False, False)[0] == [1]
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
@@ -325,13 +365,13 @@ def test_engine_matches_dense_reference(name):
     a, u, vt, vinv = reference(name)
     limit = min(m.rows, m.cols)
     assert all(a[i][j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
-    for want_u, want_v, want_vinv in itertools.product((False, True), repeat=3):
-        got = engine(m, want_u, want_v, want_vinv)
+    for want_u, want_ops in itertools.product((False, True), repeat=2):
+        got = engine(m, want_u, want_ops)
         assert got == (
             [a[i][i] for i in range(limit)],
             u if want_u else None,
-            vt if want_v else None,
-            vinv if want_vinv else None,
+            vt if want_ops else None,
+            vinv if want_ops else None,
         )
 
 
@@ -340,10 +380,19 @@ def test_callers_match_dense_reference(name):
     m = matrix(name)
     out = reference(name)
     assert smith(m) == ref_smith(m, out)
-    got, want = quotient_group(m.cols, m), ref_quotient_group(m, out)
-    assert (got.torsion, got.free_rank) == (want.torsion, want.free_rank)
-    assert got.to_smith == want.to_smith
-    assert got.from_smith == want.from_smith
+    torsion, free_rank, to_smith, from_smith = ref_quotient_group(m, out)
+    got = quotient_group(m.cols, m)
+    assert (got.torsion, got.free_rank) == (torsion, free_rank)
+    # reduce() and lift() replay the column log; check them before the
+    # matrix views are built.
+    rng = random.Random(name)
+    for _ in range(5):
+        x = [rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(m.cols)]
+        assert got.reduce(x) == ref_reduce(x, torsion, to_smith)
+        coords = [rng.randint(-9, 9) for _ in range(got.coord_count)]
+        assert got.lift(coords) == ref_vec_mat(coords, from_smith)
+    assert got.to_smith == to_smith
+    assert got.from_smith == from_smith
     if m.rows <= 400:
         assert lattice_kernel(m.transpose()) == ref_lattice_kernel(m, out)
 
@@ -361,8 +410,29 @@ def test_rybnikov_engine_matches_recorded_digest(name):
         m = tlg_forms_transposed("rybnikov")
     else:
         m = relations("rybnikov", name.split("-")[1])
-    out = engine(m, True, True, True)
+    out = engine(m, True, True)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == RYBNIKOV_DIGESTS[name]
+
+
+def test_rybnikov_reduce_and_lift_match_views():
+    """Class vectors of seeded inclusion-shaped matrices on the Rybnikov
+    stabiliser: reduce() equals the product with the to_smith view, lift()
+    the product with the from_smith view, and reduce() undoes lift()."""
+    g = graph("rybnikov", "reduced")
+    s = stabiliser(g)
+    group = s.group
+    rng = random.Random(20)
+    for _ in range(20):
+        m = IntMatrix(
+            [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(g.vertex_count)]
+             for _ in range(s.basis.rank)]
+        )
+        x = chains_to_hom(m, s.mh, s.mh.group.coord_count, 1)
+        coords = group.reduce(x)
+        assert coords == ref_reduce(x, group.torsion, group.to_smith)
+        lifted = group.lift(coords)
+        assert lifted == ref_vec_mat(coords, group.from_smith)
+        assert group.reduce(lifted) == coords
 
 
 def test_generic15_full_stabiliser():

@@ -1,19 +1,13 @@
 """Tests for the graph stabiliser, class reduction and transitions."""
 
 import random
-import warnings
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from linestab import datasets
-from linestab.combinatorics import (
-    GraphKind,
-    LineCombinatorics,
-    ValidationError,
-    build_graph,
-)
+from linestab.combinatorics import LineCombinatorics, ValidationError
 from linestab.exactalg import IntMatrix, lattice_member
 from linestab.orderings import GraphOrdering, canonical_ordering
 from linestab.stabiliser import (
