@@ -11,7 +11,6 @@ from linestab.exactalg import (
     SmithDecomposition,
     hermite,
     lattice_kernel,
-    lattice_member,
     lattice_members,
     quotient_group,
     smith,
@@ -25,7 +24,6 @@ __all__ = [
     "SmithDecomposition",
     "hermite",
     "lattice_kernel",
-    "lattice_member",
     "lattice_members",
     "quotient_group",
     "smith",

@@ -14,9 +14,9 @@ Conventions, used package-wide:
   transform as rows of {column: value}; a row swap moves one list slot
   and a column swap only updates a position permutation.
 * Column log.  The column transform v is never stored.  The engine logs
-  each column operation, and a vector is mapped through v (or v^-1) by
-  replaying the log forward (or backward); dense transforms are built
-  from the same log only where a caller asks for the matrix.
+  each column operation; a row vector is mapped through v (or v^-1) by
+  replaying the log forward (or backward), and columns of v (the kernel
+  basis of lattice_kernel, dense transforms) by replaying it backward.
 * Determinism.  Eliminations pick the nonzero entry of least absolute value
   as pivot, breaking ties by lowest current row position, then lowest
   current column position.  Identical inputs give bit-identical outputs on
@@ -25,18 +25,22 @@ Conventions, used package-wide:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix stored as a tuple of row tuples.
+
+    Entries must have __index__ (a float or a string raises TypeError).
+    """
 
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows_data: Iterable[Sequence[int]], cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows_data)
+        data = tuple(tuple(map(operator.index, row)) for row in rows_data)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -167,12 +171,21 @@ def _replay_inverse(ops, w: list[int]) -> list[int]:
     return w
 
 
-def _transform_rows(ops, n: int) -> list[list[int]]:
-    """Rows of the n x n column transform v, its columns indexed by column id."""
-    return [_replay(ops, [int(i == j) for j in range(n)]) for i in range(n)]
+def _transform_columns(ops, n: int, ids: Sequence[int]) -> list[dict[int, int]]:
+    """The n rows of v cut down to the columns with these ids, sparse and
+    keyed by index into ids.  v @ e_c applies the last logged step first,
+    and a step (c, pairs) maps a column y to y[c] -= sum(q * y[k])."""
+    y: list[dict[int, int]] = [{} for _ in range(n)]
+    for s, j in enumerate(ids):
+        y[j][s] = 1
+    for c, steps in reversed(ops):
+        for k, q in steps:
+            if y[k]:
+                _axpy(y[c], -q, y[k])
+    return y
 
 
-def _smith_engine(a: list[dict[int, int]], cols: int, want_u: bool, want_ops: bool):
+def _smith_engine(a: list[dict[int, int]], cols: int, want_u: bool):
     """Shared elimination core on sparse rows {column: value}.
 
     Consumes a.  Returns (diag, u, ops, col_at): diag lists the
@@ -180,8 +193,8 @@ def _smith_engine(a: list[dict[int, int]], cols: int, want_u: bool, want_ops: bo
     sparse rows, ops logs the column operations in order, and col_at[k] is
     the id of the column that ends at position k.  Each ops entry is
     (c, ((k, q), ...)), meaning column k -= q * column c for each pair;
-    replaying the log on the identity gives the column transform v.  u and
-    ops are None when not requested.
+    replaying the log on the identity gives the column transform v.  u is
+    None unless requested; only smith() asks for it.
 
     Rows move by swapping list slots.  Columns never move: pos[c] is the
     current position of column c, so ops speaks of column ids.  Rows at
@@ -189,7 +202,7 @@ def _smith_engine(a: list[dict[int, int]], cols: int, want_u: bool, want_ops: bo
     """
     rows = len(a)
     u = [{i: 1} for i in range(rows)] if want_u else None
-    ops = [] if want_ops else None
+    ops = []
     pos = list(range(cols))
     col_at = list(range(cols))
 
@@ -260,7 +273,7 @@ def _smith_engine(a: list[dict[int, int]], cols: int, want_u: bool, want_ops: bo
                 steps.append((k, q))
             if x:
                 dirty = True
-        if ops is not None and steps:
+        if steps:
             ops.append((c, tuple(steps)))
         if dirty:
             continue
@@ -291,15 +304,15 @@ def smith(mat: IntMatrix) -> SmithDecomposition:
     dividing the next.
     """
     rows, cols = mat.rows, mat.cols
-    diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), cols, want_u=True, want_ops=True)
+    diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), cols, want_u=True)
     d = [[0] * cols for _ in range(rows)]
     for k, x in enumerate(diag):
         d[k][k] = x
-    v = [[row[c] for c in col_at] for row in _transform_rows(ops, cols)]
+    v = _transform_columns(ops, cols, col_at)
     return SmithDecomposition(
         u=IntMatrix([_dense(r, rows) for r in u], cols=rows),
         d=IntMatrix(d, cols=cols),
-        v=IntMatrix(v, cols=cols),
+        v=IntMatrix([_dense(r, cols) for r in v], cols=cols),
     )
 
 
@@ -361,16 +374,10 @@ def hermite(mat: IntMatrix) -> IntMatrix:
     return IntMatrix([row for row in a[:pr]], cols=cols)
 
 
-def lattice_member(basis: IntMatrix, x: Sequence[int]) -> bool:
-    """Whether x lies in the lattice spanned by the rows of basis."""
-    return lattice_members(basis, [x])[0]
-
-
 def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[bool]:
     """Membership of many vectors in one lattice.
 
-    The Hermite form of the basis is computed once, so prefer this over
-    looping lattice_member when testing a batch.
+    The Hermite form of the basis is computed once for the whole batch.
     """
     h = hermite(basis)
     pivots = [
@@ -396,21 +403,15 @@ def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[
 def lattice_kernel(forms: IntMatrix) -> IntMatrix:
     """Canonical basis of {x in Z^n : f(x) = 0 for every row f of forms}.
 
-    Rows of the result are a Hermite-canonical basis of the kernel lattice;
+    The engine's columns of v past the rank span the kernel.  Rows of the
+    result are its Hermite basis, so no elimination order can change them;
     its rank is n minus the rank of forms.
     """
     n = forms.cols
-    # Rows of forms^T (n x k); we want row vectors x with x @ forms^T == 0.
-    m: list[dict[int, int]] = [{} for _ in range(n)]
-    for f, row in enumerate(forms.data):
-        for x, value in enumerate(row):
-            if value:
-                m[x][f] = value
-    diag, u, _, _ = _smith_engine(m, forms.rows, want_u=True, want_ops=False)
+    diag, _, ops, col_at = _smith_engine(_sparse_rows(forms), n, want_u=False)
     rank = sum(1 for x in diag if x)
-    if rank == n:
-        return IntMatrix([], cols=n)
-    return hermite(IntMatrix([_dense(r, n) for r in u[rank:]], cols=n))
+    v = _transform_columns(ops, n, col_at[rank:])
+    return hermite(IntMatrix([[row.get(s, 0) for row in v] for s in range(n - rank)], cols=n))
 
 
 # ----------------------------------------------------------------------------
@@ -434,22 +435,20 @@ class AbelianGroup:
       backward, giving an ambient representative.
 
     Torsion coordinates come first, in ascending order of their
-    annihilators, then the free coordinates.  The same maps as matrices,
-    to_smith (n x t, before residues) and from_smith (t x n), where
-    t = len(torsion) + free_rank, are built from the log on first use.
+    annihilators, then the free coordinates.  reduce() as a matrix,
+    to_smith (n x t, before residues, t = len(torsion) + free_rank), is
+    built from the log on first use.
     """
 
     def __init__(
         self,
         ambient_rank: int,
-        presentation: IntMatrix,
         torsion: tuple[int, ...],
         free_rank: int,
         ops,
         retained: Sequence[int],
     ):
         self.ambient_rank = ambient_rank
-        self.presentation = presentation
         self.torsion = torsion
         self.free_rank = free_rank
         self._ops = ops
@@ -466,19 +465,9 @@ class AbelianGroup:
     @cached_property
     def to_smith(self) -> IntMatrix:
         """n x t matrix: ambient row vector -> Smith coordinates."""
-        rows = _transform_rows(self._ops, self.ambient_rank)
-        return IntMatrix(
-            [[row[j] for j in self._retained] for row in rows], cols=self.coord_count
-        )
-
-    @cached_property
-    def from_smith(self) -> IntMatrix:
-        """t x n matrix: Smith coordinates -> an ambient representative."""
-        n = self.ambient_rank
-        return IntMatrix(
-            [_replay_inverse(self._ops, [int(i == j) for i in range(n)]) for j in self._retained],
-            cols=n,
-        )
+        t = self.coord_count
+        rows = _transform_columns(self._ops, self.ambient_rank, self._retained)
+        return IntMatrix([_dense(r, t) for r in rows], cols=t)
 
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the class of x.
@@ -542,8 +531,8 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
             f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
         )
     n = ambient_rank
-    diag, _, ops, col_at = _smith_engine(_sparse_rows(relations), n, want_u=False, want_ops=True)
+    diag, _, ops, col_at = _smith_engine(_sparse_rows(relations), n, want_u=False)
     diagonal = diag + [0] * (n - len(diag))
     retained = [col_at[k] for k in range(n) if diagonal[k] != 1]
     torsion = tuple(x for x in diagonal if x > 1)
-    return AbelianGroup(n, relations, torsion, len(retained) - len(torsion), ops, retained)
+    return AbelianGroup(n, torsion, len(retained) - len(torsion), ops, retained)

@@ -65,6 +65,8 @@ class CycleBasis:
 
 def cycle_basis(g: DecoratedGraph, root: int = 0) -> CycleBasis:
     """BFS spanning tree from the root, neighbours in index order."""
+    if not 0 <= root < g.vertex_count:
+        raise ValidationError(f"root {root} is not a vertex of a {g.vertex_count}-vertex graph")
     parent: list[int | None] = [None] * g.vertex_count
     seen = [False] * g.vertex_count
     seen[root] = True

@@ -87,12 +87,13 @@ def tlg(g: DecoratedGraph) -> TensorLinkingGroup:
     k = basis.rank
     width = mh.group.coord_count * k
     gens = tlg_generator_positions(g)
-    forms = []
-    for u, e in gens:
-        form = [0] * width
-        add_tensor(form, 1, basis.edge_cycles[e], mh.projections[u], 1, k)
-        forms.append(form)
-    lattice = lattice_kernel(IntMatrix(forms, cols=width))
+
+    def form(u: int, e: int) -> list[int]:
+        row = [0] * width
+        add_tensor(row, 1, basis.edge_cycles[e], mh.projections[u], 1, k)
+        return row
+
+    lattice = lattice_kernel(IntMatrix((form(u, e) for u, e in gens), cols=width))
     return TensorLinkingGroup(g, basis, mh, tuple(gens), lattice)
 
 

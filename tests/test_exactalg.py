@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
@@ -11,7 +12,6 @@ from linestab.exactalg import (
     IntMatrix,
     hermite,
     lattice_kernel,
-    lattice_member,
     lattice_members,
     quotient_group,
     smith,
@@ -100,7 +100,8 @@ def test_quotient_primitive_row():
 def test_quotient_no_relations():
     g = quotient_group(5, IntMatrix([], cols=5))
     assert g.torsion == () and g.free_rank == 5
-    assert g.to_smith == g.from_smith == IntMatrix.identity(5)
+    assert g.to_smith == IntMatrix.identity(5)
+    assert [g.lift(unit) for unit in IntMatrix.identity(5).data] == IntMatrix.identity(5).to_lists()
     assert g.reduce([1, 2, 3, 4, 5]) == (1, 2, 3, 4, 5)
 
 
@@ -180,7 +181,7 @@ def test_reduce_matches_lattice_membership():
         x = [rng.randint(-8, 8) for _ in range(cols)]
         y = [rng.randint(-8, 8) for _ in range(cols)]
         diff = [a - b for a, b in zip(x, y)]
-        assert (g.reduce(x) == g.reduce(y)) == lattice_member(rel, diff)
+        assert (g.reduce(x) == g.reduce(y)) == lattice_members(rel, [diff])[0]
 
 
 def test_to_smith_from_smith_round_trip():
@@ -239,10 +240,10 @@ def test_hermite_drops_zero_rows():
 
 def test_lattice_member_goldens():
     basis = IntMatrix([[2, 0], [0, 2]])
-    assert lattice_member(basis, [2, 2])
-    assert not lattice_member(basis, [1, 0])
-    assert lattice_member(IntMatrix([[1, 1]]), [3, 3])
-    assert not lattice_member(IntMatrix([[1, 1]]), [3, 2])
+    assert lattice_members(basis, [[2, 2]])[0]
+    assert not lattice_members(basis, [[1, 0]])[0]
+    assert lattice_members(IntMatrix([[1, 1]]), [[3, 3]])[0]
+    assert not lattice_members(IntMatrix([[1, 1]]), [[3, 2]])[0]
 
 
 def brute_force_member(rows, x, bound=12):
@@ -264,7 +265,7 @@ def test_lattice_member_brute_force_2x2():
     for _ in range(30):
         rows = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
         x = [rng.randint(-6, 6) for _ in range(2)]
-        assert lattice_member(IntMatrix(rows), x) == brute_force_member(rows, x, bound=36)
+        assert lattice_members(IntMatrix(rows), [x])[0] == brute_force_member(rows, x, bound=36)
 
 
 def test_lattice_member_rational_solve_3x3():
@@ -280,7 +281,7 @@ def test_lattice_member_rational_solve_3x3():
         x = [rng.randint(-4, 4) for _ in range(3)]
         coeffs = b.T.solve(sympy.Matrix(x))
         expected = all(c == int(c) for c in coeffs)
-        assert lattice_member(IntMatrix(rows), x) == expected
+        assert lattice_members(IntMatrix(rows), [x])[0] == expected
 
 
 def test_lattice_member_constructed_members():
@@ -293,7 +294,7 @@ def test_lattice_member_constructed_members():
         for row in rows:
             c = rng.randint(-9, 9)
             x = [a + c * v for a, v in zip(x, row)]
-        assert lattice_member(IntMatrix(rows), x)
+        assert lattice_members(IntMatrix(rows), [x])[0]
 
 
 def test_lattice_members_batch_matches_single():
@@ -302,7 +303,7 @@ def test_lattice_members_batch_matches_single():
     vectors = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(40)]
     vectors += [[2, 3, 2], [4, -3, 1], [0, 0, 0]]  # combinations of the rows
     batch = lattice_members(basis, vectors)
-    assert batch == [lattice_member(basis, v) for v in vectors]
+    assert batch == [lattice_members(basis, [v])[0] for v in vectors]
     assert any(batch) and not all(batch)
 
 
@@ -337,7 +338,16 @@ def test_lattice_kernel_is_saturated():
         for _ in range(20):
             x = [rng.randint(-6, 6) for _ in range(n)]
             if sum(a * b for a, b in zip(x, forms.data[0])) == 0:
-                assert lattice_member(ker, x)
+                assert lattice_members(ker, [x])[0]
+
+
+def test_int_matrix_entries_must_be_integers():
+    for bad in (1.5, 2.0, "7", None):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, bad]])
+    m = IntMatrix([[True, numpy.int64(-3), sympy.Integer(5)]])
+    assert m.data == ((1, -3, 5),)
+    assert all(type(x) is int for x in m.data[0])
 
 
 def test_matmul_shape_check():

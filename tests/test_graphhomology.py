@@ -3,16 +3,18 @@
 import dataclasses
 import warnings
 
+import pytest
 import sympy
 
-from linestab import datasets
-from linestab.combinatorics import GraphKind, build_graph
-from linestab.exactalg import IntMatrix
+from linestab import datasets, graphhomology
+from linestab.combinatorics import GraphKind, ValidationError, build_graph
+from linestab.exactalg import IntMatrix, quotient_group
 from linestab.graphhomology import (
     cycle_basis,
     meridian_homology,
     verify_h1e,
 )
+from linestab.stabiliser import stabiliser
 
 
 def boundary_matrix(g):
@@ -88,12 +90,28 @@ def test_cycle_basis_deterministic_and_root_choice():
     assert other.tree_edges != cycle_basis(g).tree_edges
 
 
-def test_meridian_homology_generic4():
+def test_cycle_basis_rejects_a_root_outside_the_graph():
+    g = reduced(datasets.maclane())
+    for root in (-1, g.vertex_count):
+        with pytest.raises(ValidationError):
+            cycle_basis(g, root)
+        with pytest.raises(ValidationError):
+            stabiliser(g, root)
+
+
+def test_meridian_homology_generic4(monkeypatch):
     g = reduced(datasets.generic(4))
+    recorded = []
+
+    def record(n, relations):
+        recorded.append(relations)
+        return quotient_group(n, relations)
+
+    monkeypatch.setattr(graphhomology, "quotient_group", record)
     m = meridian_homology(g)
     assert str(m.group) == "Z^3"
     # each vertex relation is the all-ones row: euler 1 plus three neighbours
-    assert m.group.presentation.data == ((1, 1, 1, 1),) * 4
+    assert recorded == [IntMatrix([(1, 1, 1, 1)] * 4)]
 
 
 def test_meridian_homology_ranks():

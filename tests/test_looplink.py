@@ -61,6 +61,7 @@ def test_tlg_ranks_pinned():
     assert tlg(full_graph(datasets.generic(4))).rank == 0
     assert tlg(full_graph(datasets.maclane())).rank == 3
     assert tlg(full_graph(datasets.quadruplet())).rank == 0
+    assert tlg(full_graph(datasets.rybnikov())).rank == 7
 
 
 def test_tlg_requires_full_graph():

@@ -6,10 +6,12 @@ rows.  The sparse engine promises the same pivot sequence and the same
 row and column operations.  It logs its column operations instead of
 carrying the column transform, so engine() below rebuilds vt (the columns
 of v, as rows) and vinv (v's inverse) from that log.  Its diagonal, u, vt
-and vinv must equal the reference's exactly, for every combination of
-requested outputs; smith(), quotient_group() with its reduce() and lift(),
-and lattice_kernel() must then equal what the dense engine made of the
-same output.
+and vinv must equal the reference's exactly, with and without u; smith()
+and quotient_group() with its reduce() and lift() must then equal what the
+dense engine made of the same output.  lattice_kernel() reads its kernel
+from the columns of v, where the dense engine read it from u on the
+transposed forms; the Hermite basis of the kernel lattice is unique, so
+both must agree.
 
 The reference takes about 5 s on each Rybnikov matrix, so those three are
 pinned by digest instead: RYBNIKOV_DIGESTS holds the SHA-256 of
@@ -22,13 +24,11 @@ matrices, built by the same code as here.
 
 import functools
 import hashlib
-import itertools
 import random
 
 import pytest
 
-from linestab import datasets
-from linestab import looplink
+from linestab import datasets, graphhomology, looplink, pi1
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.exactalg import (
     IntMatrix,
@@ -42,7 +42,7 @@ from linestab.exactalg import (
 )
 from linestab.graphhomology import chains_to_hom, cycle_basis, meridian_homology
 from linestab.orderings import canonical_ordering
-from linestab.pi1 import abelianise, pi1_presentation
+from linestab.pi1 import pi1_presentation
 from linestab.stabiliser import _push_to_hom, stabiliser
 
 from conftest import reduced_graph
@@ -189,11 +189,11 @@ def ref_reduce(x, torsion, to_smith):
     return tuple(y)
 
 
-def ref_lattice_kernel(m, out):
-    """Kernel of forms = m^T, from the reference engine's output on m."""
+def ref_lattice_kernel(m, diag, u):
+    """Kernel of forms = m^T, from the diagonal entries and u of the
+    reference engine on m."""
     n = m.rows
-    diag, u, _, _ = out
-    rank = sum(1 for i in range(min(n, m.cols)) if diag[i][i])
+    rank = sum(1 for x in diag if x)
     if rank == n:
         return IntMatrix([], cols=n)
     return hermite(IntMatrix(u[rank:], cols=n))
@@ -223,29 +223,47 @@ def relations(name, kind):
     return _push_to_hom(cycle_basis(g), meridian_homology(g))
 
 
-def tlg_forms_transposed(name):
-    recorded = []
+def recorded_call(module, name, run):
+    """(args, result) of the first call that run() makes to module.name."""
+    calls = []
+    real = getattr(module, name)
 
-    def record(forms):
-        recorded.append(forms)
-        return IntMatrix([], cols=forms.cols)
+    def record(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
 
-    real = looplink.lattice_kernel
-    looplink.lattice_kernel = record
+    setattr(module, name, record)
     try:
-        looplink.tlg(graph(name, "full"))
+        run()
     finally:
-        looplink.lattice_kernel = real
-    return recorded[0].transpose()
+        setattr(module, name, real)
+    return calls[0]
+
+
+def tlg_forms_and_lattice(name):
+    (forms,), lattice = recorded_call(
+        looplink, "lattice_kernel", lambda: looplink.tlg(graph(name, "full"))
+    )
+    return forms, lattice
+
+
+def tlg_forms_transposed(name):
+    return tlg_forms_and_lattice(name)[0].transpose()
 
 
 def meridian_relations(name, kind):
-    return meridian_homology(graph(name, kind)).group.presentation
+    (_, relations), _ = recorded_call(
+        graphhomology, "quotient_group", lambda: meridian_homology(graph(name, kind))
+    )
+    return relations
 
 
 def abelianisation_relations(name):
     g = graph(name, "reduced")
-    return abelianise(pi1_presentation(g, cycle_basis(g), canonical_ordering(g))).presentation
+    p = pi1_presentation(g, cycle_basis(g), canonical_ordering(g))
+    (_, relations), _ = recorded_call(pi1, "quotient_group", lambda: pi1.abelianise(p))
+    return relations
 
 
 def random_matrix(seed):
@@ -326,7 +344,7 @@ def sparse_axpy(dst, q, src):
             dst.pop(k, None)
 
 
-def engine(mat, want_u, want_ops):
+def engine(mat, want_u):
     """(diag, u, vt, vinv) with vt and vinv rebuilt from the column log.
 
     Each logged step (c, k, q) is column k -= q * column c: vt[k] -= q * vt[c]
@@ -334,17 +352,15 @@ def engine(mat, want_u, want_ops):
     then puts them in position order.
     """
     n = mat.cols
-    diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), n, want_u, want_ops)
-    vt = vinv = None
-    if ops is not None:
-        vt = [{j: 1} for j in range(n)]
-        vinv = [{j: 1} for j in range(n)]
-        for c, steps in ops:
-            for k, q in steps:
-                sparse_axpy(vt[k], -q, vt[c])
-                sparse_axpy(vinv[c], q, vinv[k])
-        vt = [vt[c] for c in col_at]
-        vinv = [vinv[c] for c in col_at]
+    diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), n, want_u)
+    vt = [{j: 1} for j in range(n)]
+    vinv = [{j: 1} for j in range(n)]
+    for c, steps in ops:
+        for k, q in steps:
+            sparse_axpy(vt[k], -q, vt[c])
+            sparse_axpy(vinv[c], q, vinv[k])
+    vt = [vt[c] for c in col_at]
+    vinv = [vinv[c] for c in col_at]
     return diag, dense(u, mat.rows), dense(vt, n), dense(vinv, n)
 
 
@@ -354,9 +370,9 @@ def engine(mat, want_u, want_ops):
 
 
 def test_hand_made_cases_reach_every_step():
-    assert engine(HAND_MADE["fold-in"], False, False)[0] == [1, 6]
-    assert engine(HAND_MADE["remainder-below"], False, False)[0] == [1]
-    assert engine(HAND_MADE["remainder-right"], False, False)[0] == [1]
+    assert engine(HAND_MADE["fold-in"], False)[0] == [1, 6]
+    assert engine(HAND_MADE["remainder-below"], False)[0] == [1]
+    assert engine(HAND_MADE["remainder-right"], False)[0] == [1]
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
@@ -365,14 +381,9 @@ def test_engine_matches_dense_reference(name):
     a, u, vt, vinv = reference(name)
     limit = min(m.rows, m.cols)
     assert all(a[i][j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
-    for want_u, want_ops in itertools.product((False, True), repeat=2):
-        got = engine(m, want_u, want_ops)
-        assert got == (
-            [a[i][i] for i in range(limit)],
-            u if want_u else None,
-            vt if want_ops else None,
-            vinv if want_ops else None,
-        )
+    for want_u in (False, True):
+        got = engine(m, want_u)
+        assert got == ([a[i][i] for i in range(limit)], u if want_u else None, vt, vinv)
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
@@ -392,9 +403,12 @@ def test_callers_match_dense_reference(name):
         coords = [rng.randint(-9, 9) for _ in range(got.coord_count)]
         assert got.lift(coords) == ref_vec_mat(coords, from_smith)
     assert got.to_smith == to_smith
-    assert got.from_smith == from_smith
+    assert [got.lift(unit) for unit in IntMatrix.identity(got.coord_count).data] == [
+        list(row) for row in from_smith.data
+    ]
     if m.rows <= 400:
-        assert lattice_kernel(m.transpose()) == ref_lattice_kernel(m, out)
+        diag = [out[0][i][i] for i in range(min(m.rows, m.cols))]
+        assert lattice_kernel(m.transpose()) == ref_lattice_kernel(m, diag, out[1])
 
 
 RYBNIKOV_DIGESTS = {
@@ -406,21 +420,30 @@ RYBNIKOV_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(RYBNIKOV_DIGESTS))
 def test_rybnikov_engine_matches_recorded_digest(name):
+    lattice = None
     if name == "rybnikov-tlg-forms^T":
-        m = tlg_forms_transposed("rybnikov")
+        forms, lattice = tlg_forms_and_lattice("rybnikov")
+        m = forms.transpose()
     else:
         m = relations("rybnikov", name.split("-")[1])
-    out = engine(m, True, True)
+    out = engine(m, True)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == RYBNIKOV_DIGESTS[name]
+    if lattice is not None:
+        # out is the dense engine's output, by the digest; tlg() got the
+        # same kernel lattice from the column log of the untransposed forms.
+        assert lattice == ref_lattice_kernel(m, out[0], out[1])
+        assert lattice.rows == 7
 
 
 def test_rybnikov_reduce_and_lift_match_views():
     """Class vectors of seeded inclusion-shaped matrices on the Rybnikov
     stabiliser: reduce() equals the product with the to_smith view, lift()
-    the product with the from_smith view, and reduce() undoes lift()."""
+    is linear (the combination of the lifts of the unit coordinates), and
+    reduce() undoes lift()."""
     g = graph("rybnikov", "reduced")
     s = stabiliser(g)
     group = s.group
+    lifts = IntMatrix(group.lift(unit) for unit in IntMatrix.identity(group.coord_count).data)
     rng = random.Random(20)
     for _ in range(20):
         m = IntMatrix(
@@ -431,7 +454,7 @@ def test_rybnikov_reduce_and_lift_match_views():
         coords = group.reduce(x)
         assert coords == ref_reduce(x, group.torsion, group.to_smith)
         lifted = group.lift(coords)
-        assert lifted == ref_vec_mat(coords, group.from_smith)
+        assert lifted == ref_vec_mat(coords, lifts)
         assert group.reduce(lifted) == coords
 
 

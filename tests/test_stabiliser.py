@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from linestab import datasets
 from linestab.combinatorics import LineCombinatorics, ValidationError
-from linestab.exactalg import IntMatrix, lattice_member
+from linestab.exactalg import IntMatrix, lattice_members
 from linestab.orderings import GraphOrdering, canonical_ordering
 from linestab.stabiliser import (
     gs_generators,
@@ -171,7 +171,7 @@ def test_non_relation_shift_changes_class(maclane_stab):
     free_unit = [0] * s.group.coord_count
     free_unit[-1] = 1
     ambient = s.group.lift(free_unit)
-    assert not lattice_member(s.relations, ambient)
+    assert lattice_members(s.relations, [ambient]) == [False]
     base = IntMatrix.zeros(s.basis.rank, s.graph.vertex_count)
     shifted = lift_to_chains(s, ambient)
     assert reduce_to_class(s, base).coords != reduce_to_class(s, shifted).coords
