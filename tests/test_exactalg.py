@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
@@ -345,8 +344,20 @@ def test_int_matrix_entries_must_be_integers():
     for bad in (1.5, 2.0, "7", None):
         with pytest.raises(TypeError):
             IntMatrix([[1, bad]])
-    m = IntMatrix([[True, numpy.int64(-3), sympy.Integer(5)]])
+
+    class Index:
+        def __index__(self):
+            return -3
+
+    m = IntMatrix([[True, Index(), sympy.Integer(5)]])
     assert m.data == ((1, -3, 5),)
+    assert all(type(x) is int for x in m.data[0])
+
+
+def test_int_matrix_takes_numpy_integers():
+    numpy = pytest.importorskip("numpy")
+    m = IntMatrix([[numpy.int64(-3), numpy.uint8(5)]])
+    assert m.data == ((-3, 5),)
     assert all(type(x) is int for x in m.data[0])
 
 
