@@ -10,13 +10,13 @@ Conventions, used package-wide:
 * Row vectors.  A matrix M with a rows and b columns represents the
   homomorphism Z^a -> Z^b sending x to x*M, and a lattice is the span of a
   matrix's rows.
-* Sparse rows.  The Smith engine keeps the working matrix and its row
-  transform as rows of {column: value}; a row swap moves one list slot
-  and a column swap only updates a position permutation.
+* Sparse rows.  IntMatrix stores rows {column: value} and builds .data on
+  each read, so bind it once outside a loop.  The Smith engine consumes
+  copies; a row swap moves one list slot, a column swap a permutation entry.
 * Column log.  The column transform v is never stored.  The engine logs
   each column operation; a row vector is mapped through v (or v^-1) by
   replaying the log forward (or backward), and columns of v (the kernel
-  basis of lattice_kernel, dense transforms) by replaying it backward.
+  basis of lattice_kernel, to_smith) by replaying it backward.
 * Determinism.  Eliminations pick the nonzero entry of least absolute value
   as pivot, breaking ties by lowest current row position, then lowest
   current column position.  Identical inputs give bit-identical outputs on
@@ -32,12 +32,11 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples.
+    """Immutable integer matrix stored as rows {column: value} (entries), keys
+    ascending, no zeros.  The constructor takes dense rows of __index__ entries
+    (a float or a string raises TypeError); from_entries() takes sparse rows."""
 
-    Entries must have __index__ (a float or a string raises TypeError).
-    """
-
-    __slots__ = ("data", "rows", "cols")
+    __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, rows_data: Iterable[Sequence[int]], cols: int | None = None):
         data = tuple(tuple(map(operator.index, row)) for row in rows_data)
@@ -50,9 +49,27 @@ class IntMatrix:
             cols = width
         elif cols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self.data = data
-        self.rows = len(data)
-        self.cols = cols
+        elif cols < 0:
+            raise ValueError(f"a matrix cannot have {cols} columns")
+        self._set(tuple({j: x for j, x in enumerate(row) if x} for row in data), cols)
+
+    def _set(self, entries: tuple[dict[int, int], ...], cols: int) -> "IntMatrix":
+        """Store rows that already have ascending keys and no zeros."""
+        self.entries, self.rows, self.cols = entries, len(entries), cols
+        return self
+
+    @classmethod
+    def from_entries(cls, rows: Iterable[Iterable[tuple[int, int]]], cols: int) -> "IntMatrix":
+        """Row i from the (column, value) pairs of rows[i], in any order; zeros dropped."""
+        if cols < 0:
+            raise ValueError(f"a matrix cannot have {cols} columns")
+        entries = []
+        for pairs in rows:
+            row = {j: x for j, x in sorted(pairs) if x}
+            if row and (next(iter(row)) < 0 or next(reversed(row)) >= cols):
+                raise ValueError(f"a column index lies outside range({cols})")
+            entries.append(row)
+        return cls.__new__(cls)._set(tuple(entries), cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -62,52 +79,55 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """Dense rows, built on each read."""
+        return tuple(map(tuple, self.to_lists()))
+
     def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
+        return tuple(_dense(self.entries[i], self.cols))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
+        return tuple(row.get(j, 0) for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):  # i ascends, so every out row's keys do
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix.__new__(IntMatrix)._set(tuple(out), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for k, x in enumerate(row):
-                if x:
-                    other_row = other.data[k]
-                    for j, y in enumerate(other_row):
-                        if y:
-                            acc[j] += x * y
-            out.append(acc)
-        return IntMatrix(out, cols=other.cols)
+        for row in self.entries:
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                for j, y in other.entries[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(acc.items())
+        return IntMatrix.from_entries(out, other.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.data]
+        return [_dense(row, self.cols) for row in self.entries]
 
     def is_zero(self) -> bool:
-        return all(not any(row) for row in self.data)
+        return not any(self.entries)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+        return hash((self.cols, tuple(tuple(row.items()) for row in self.entries)))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -141,7 +161,7 @@ def _axpy(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
 
 
 def _sparse_rows(mat: IntMatrix) -> list[dict[int, int]]:
-    return [{j: x for j, x in enumerate(row) if x} for row in mat.data]
+    return [dict(row) for row in mat.entries]
 
 
 def _dense(row: dict[int, int], width: int) -> list[int]:
@@ -305,14 +325,11 @@ def smith(mat: IntMatrix) -> SmithDecomposition:
     """
     rows, cols = mat.rows, mat.cols
     diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), cols, want_u=True)
-    d = [[0] * cols for _ in range(rows)]
-    for k, x in enumerate(diag):
-        d[k][k] = x
     v = _transform_columns(ops, cols, col_at)
     return SmithDecomposition(
-        u=IntMatrix([_dense(r, rows) for r in u], cols=rows),
-        d=IntMatrix(d, cols=cols),
-        v=IntMatrix([_dense(r, cols) for r in v], cols=cols),
+        u=IntMatrix.from_entries((r.items() for r in u), rows),
+        d=IntMatrix.from_entries([[(k, x)] for k, x in zip(range(rows), diag + [0] * rows)], cols),
+        v=IntMatrix.from_entries((r.items() for r in v), cols),
     )
 
 
@@ -329,7 +346,7 @@ def hermite(mat: IntMatrix) -> IntMatrix:
     this is the canonical basis of the lattice spanned by mat's rows.
     """
     rows, cols = mat.rows, mat.cols
-    a = [list(r) for r in mat.data]
+    a = mat.to_lists()
     pr = 0  # next pivot row
     for j in range(cols):
         while True:
@@ -371,7 +388,7 @@ def hermite(mat: IntMatrix) -> IntMatrix:
             pr += 1
             if pr == rows:
                 break
-    return IntMatrix([row for row in a[:pr]], cols=cols)
+    return IntMatrix(a[:pr], cols=cols)
 
 
 def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[bool]:
@@ -379,15 +396,12 @@ def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[
 
     The Hermite form of the basis is computed once for the whole batch.
     """
-    h = hermite(basis)
-    pivots = [
-        (next(k for k, v in enumerate(row) if v), row) for row in h.data
-    ]
+    pivots = [(next(iter(row)), row) for row in hermite(basis).entries]
     out = []
     for x in vectors:
         if len(x) != basis.cols:
             raise ValueError(f"vector of length {len(x)} against {basis.shape} basis")
-        r = [int(v) for v in x]
+        r = list(map(operator.index, x))
         member = True
         for j, row in pivots:
             if r[j]:
@@ -395,7 +409,8 @@ def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[
                 if rem:
                     member = False
                     break
-                r = [y - q * z for y, z in zip(r, row)]
+                for k, z in row.items():
+                    r[k] -= q * z
         out.append(member and not any(r))
     return out
 
@@ -411,7 +426,7 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
     diag, _, ops, col_at = _smith_engine(_sparse_rows(forms), n, want_u=False)
     rank = sum(1 for x in diag if x)
     v = _transform_columns(ops, n, col_at[rank:])
-    return hermite(IntMatrix([[row.get(s, 0) for row in v] for s in range(n - rank)], cols=n))
+    return hermite(IntMatrix.from_entries((r.items() for r in v), n - rank).transpose())
 
 
 # ----------------------------------------------------------------------------
@@ -465,9 +480,8 @@ class AbelianGroup:
     @cached_property
     def to_smith(self) -> IntMatrix:
         """n x t matrix: ambient row vector -> Smith coordinates."""
-        t = self.coord_count
         rows = _transform_columns(self._ops, self.ambient_rank, self._retained)
-        return IntMatrix([_dense(r, t) for r in rows], cols=t)
+        return IntMatrix.from_entries((r.items() for r in rows), self.coord_count)
 
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the class of x.
@@ -477,7 +491,7 @@ class AbelianGroup:
         """
         if len(x) != self.ambient_rank:
             raise ValueError(f"vector of length {len(x)} against ambient rank {self.ambient_rank}")
-        y = _replay(self._ops, list(x))
+        y = _replay(self._ops, list(map(operator.index, x)))
         out = [y[j] for j in self._retained]
         for k, d in enumerate(self.torsion):
             out[k] %= d
@@ -488,14 +502,14 @@ class AbelianGroup:
         if len(coords) != self.coord_count:
             raise ValueError(f"{len(coords)} coordinates against {self.coord_count}")
         w = [0] * self.ambient_rank
-        for j, x in zip(self._retained, coords):
+        for j, x in zip(self._retained, map(operator.index, coords)):
             w[j] = x
         return _replay_inverse(self._ops, w)
 
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.coord_count:
             raise ValueError(f"expected {self.coord_count} coordinates")
-        out = list(int(c) for c in coords)
+        out = list(map(operator.index, coords))
         for k, d in enumerate(self.torsion):
             out[k] %= d
         return tuple(out)

@@ -19,13 +19,13 @@ Relation generators, transition swaps, tensor-linking forms and
 inclusion data are all sums of terms c * zeta (x) pi_u: a column of
 cycle coefficients (an edge's column of the cycle map, or a vertex's
 column of an inclusion matrix, chains_to_hom()) tensored with a vertex's
-meridian projection.  Both are kept sparse, and add_tensor() is the one
-place that writes such a term.
+meridian projection.  Both are IntMatrix sparse rows {index: value}, and
+add_tensor() is the one place that writes such a term.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .combinatorics import DecoratedGraph, GraphKind, ValidationError
@@ -48,7 +48,7 @@ class CycleBasis:
 
     zeta has one row per non-tree edge (in edge-list order) and one
     column per edge; row i expands the cycle of non_tree_edges[i].
-    edge_cycles[e] lists column e's nonzero (cycle, coefficient) pairs.
+    edge_cycles[e] is column e of zeta as a sparse row {cycle: coefficient}.
     """
 
     graph: DecoratedGraph
@@ -56,7 +56,7 @@ class CycleBasis:
     tree_edges: tuple[tuple[int, int], ...]
     non_tree_edges: tuple[tuple[int, int], ...]
     zeta: IntMatrix
-    edge_cycles: tuple[tuple[tuple[int, int], ...], ...]
+    edge_cycles: tuple[dict[int, int], ...]
 
     @property
     def rank(self) -> int:
@@ -84,7 +84,7 @@ def cycle_basis(g: DecoratedGraph, root: int = 0) -> CycleBasis:
     non_tree = tuple(e for e in g.edges if e not in tree)
     rows = []
     for v, w in non_tree:
-        row = [0] * g.edge_count
+        row = defaultdict(int)
         row[g.edge_position(v, w)] = 1
         # Then w up to the root and back down to v: the segment both tree
         # paths share cancels.
@@ -93,21 +93,18 @@ def cycle_basis(g: DecoratedGraph, root: int = 0) -> CycleBasis:
                 p = parent[x]
                 row[g.edge_position(x, p)] += sign if x < p else -sign
                 x = p
-        rows.append(tuple(row))
-    zeta = IntMatrix(tuple(rows), cols=g.edge_count)
-    edge_cycles = tuple(
-        tuple((i, c) for i, c in enumerate(zeta.column(e)) if c) for e in range(g.edge_count)
-    )
-    return CycleBasis(g, root, tuple(sorted(tree)), non_tree, zeta, edge_cycles)
+        rows.append(row.items())
+    zeta = IntMatrix.from_entries(rows, g.edge_count)
+    return CycleBasis(g, root, tuple(sorted(tree)), non_tree, zeta, zeta.transpose().entries)
 
 
 @dataclass(frozen=True)
 class MeridianHomology:
-    """projections[u] lists vertex u's nonzero (Smith coordinate, coeff) pairs."""
+    """projections[u] is row u of group.to_smith, {Smith coordinate: coeff}."""
 
     graph: DecoratedGraph
     group: AbelianGroup
-    projections: tuple[tuple[tuple[int, int], ...], ...]
+    projections: tuple[dict[int, int], ...]
 
     def eta(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         """Class of a vertex chain in canonical coordinates."""
@@ -119,32 +116,28 @@ def meridian_homology(g: DecoratedGraph) -> MeridianHomology:
     rows = []
     if g.kind is GraphKind.REDUCED:
         for v in range(n):
-            row = [0] * n
-            row[v] = g.euler[v]
+            row = defaultdict(int, {v: g.euler[v]})
             for w in g.neighbours[v]:
                 row[w] += 1
-            rows.append(tuple(row))
+            rows.append(row.items())
     else:
         comb = g.combinatorics
         for v in range(comb.n_lines, n):
-            row = [0] * n
-            row[v] = 1
+            row = defaultdict(int, {v: 1})
             for line in comb.points[g.point_ids[v - comb.n_lines]]:
                 row[line] -= 1
-            rows.append(tuple(row))
-        rows.append(tuple(1 if v < comb.n_lines else 0 for v in range(n)))
-    group = quotient_group(n, IntMatrix(tuple(rows), cols=n))
-    projections = tuple(
-        tuple((s, p) for s, p in enumerate(row) if p) for row in group.to_smith.data
-    )
-    return MeridianHomology(g, group, projections)
+            rows.append(row.items())
+        rows.append([(v, 1) for v in range(comb.n_lines)])
+    group = quotient_group(n, IntMatrix.from_entries(rows, n))
+    return MeridianHomology(g, group, group.to_smith.entries)
 
 
-def add_tensor(acc: list[int], c: int, cycles, coords, cycle_stride: int, coord_stride: int):
-    """Add c * zeta_e (x) pi_u into acc, given cycles = basis.edge_cycles[e]
-    and coords = mh.projections[u]; cycle i and Smith coordinate s sit at
-    i * cycle_stride + s * coord_stride."""
-    for i, z in cycles:
+def add_tensor(acc, c: int, cycles, coords, cycle_stride: int, coord_stride: int):
+    """Add c * zeta_e (x) pi_u into acc (a list or a defaultdict(int)), given
+    the sparse rows cycles = basis.edge_cycles[e] and coords = mh.projections[u];
+    cycle i and Smith coordinate s sit at i * cycle_stride + s * coord_stride."""
+    coords = coords.items()
+    for i, z in cycles.items():
         cz = c * z
         base = i * cycle_stride
         for s, p in coords:
@@ -163,8 +156,7 @@ def chains_to_hom(
             "expected a %d x %d matrix, got %d x %d" % (rank, g.vertex_count, m.rows, m.cols)
         )
     acc = [0] * (rank * mh.group.coord_count)
-    for u, coords in enumerate(mh.projections):
-        cycles = [(i, x) for i, x in enumerate(m.column(u)) if x]
+    for cycles, coords in zip(m.transpose().entries, mh.projections):
         add_tensor(acc, 1, cycles, coords, cycle_stride, coord_stride)
     return acc
 

@@ -74,7 +74,7 @@ def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
             % (raw["graph"], g.kind.value)
         )
     rank = g.edge_count - g.vertex_count + 1
-    if isinstance(raw["cycles"], bool) or raw["cycles"] != rank:
+    if type(raw["cycles"]) is not int or raw["cycles"] != rank:
         raise ValidationError(
             "file declares %r cycles, graph has %d" % (raw["cycles"], rank)
         )

@@ -15,6 +15,7 @@ dot product is the trace of the row composed with the inclusion matrix.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .combinatorics import DecoratedGraph, GraphKind, ValidationError
@@ -88,12 +89,12 @@ def tlg(g: DecoratedGraph) -> TensorLinkingGroup:
     width = mh.group.coord_count * k
     gens = tlg_generator_positions(g)
 
-    def form(u: int, e: int) -> list[int]:
-        row = [0] * width
+    def form(u: int, e: int):
+        row = defaultdict(int)
         add_tensor(row, 1, basis.edge_cycles[e], mh.projections[u], 1, k)
-        return row
+        return row.items()
 
-    lattice = lattice_kernel(IntMatrix((form(u, e) for u, e in gens), cols=width))
+    lattice = lattice_kernel(IntMatrix.from_entries((form(u, e) for u, e in gens), width))
     return TensorLinkingGroup(g, basis, mh, tuple(gens), lattice)
 
 
@@ -102,7 +103,7 @@ def lln(t: TensorLinkingGroup, m: InclusionMatrix) -> LoopLinkingNumber:
     if m.ordering.graph != t.graph:
         raise ValidationError("inclusion data belongs to a different graph")
     x = chains_to_hom(m.matrix, t.mh, 1, t.basis.rank)
-    values = tuple(sum(a * b for a, b in zip(row, x)) for row in t.lattice.data)
+    values = tuple(sum(a * x[j] for j, a in row.items()) for row in t.lattice.entries)
     return LoopLinkingNumber(values)
 
 

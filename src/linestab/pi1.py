@@ -16,6 +16,7 @@ x^y = y^-1 x y throughout.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .combinatorics import DecoratedGraph, GraphKind, ValidationError
@@ -90,11 +91,11 @@ def abelianise(p: GroupPresentation) -> AbelianGroup:
     exponent sums of the relators."""
     rows = []
     for word in p.relators:
-        row = [0] * p.generator_count
+        row = defaultdict(int)
         for letter in word:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row)
-    return quotient_group(p.generator_count, IntMatrix(rows, cols=p.generator_count))
+        rows.append(row.items())
+    return quotient_group(p.generator_count, IntMatrix.from_entries(rows, p.generator_count))
 
 
 def presentation_text(p: GroupPresentation) -> str:

@@ -20,6 +20,7 @@ orientation, which is one more term of the same kernel.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -105,37 +106,27 @@ def gs_generator_terms(g: DecoratedGraph) -> list[tuple[tuple[int, int, int], ..
 
 
 def gs_generators(g: DecoratedGraph) -> IntMatrix:
-    """The generators of gs_generator_terms() as dense rows in edge x
+    """The generators of gs_generator_terms() as sparse rows in edge x
     vertex coordinates, flattened edge-major (position = edge *
     vertex_count + vertex)."""
     nv = g.vertex_count
-    width = g.edge_count * nv
-    rows = []
-    for terms in gs_generator_terms(g):
-        row = [0] * width
-        for e, u, c in terms:
-            row[e * nv + u] = c
-        rows.append(row)
-    return IntMatrix(rows, cols=width)
+    rows = (((e * nv + u, c) for e, u, c in terms) for terms in gs_generator_terms(g))
+    return IntMatrix.from_entries(rows, g.edge_count * nv)
 
 
 def _push_to_hom(basis: CycleBasis, mh: MeridianHomology) -> IntMatrix:
     """Relation generators in flattened hom(H1, MH) coordinates."""
     t = mh.group.coord_count
-    width = basis.rank * t
     out = []
     for terms in gs_generator_terms(basis.graph):
-        img = [0] * width
+        img = defaultdict(int)
         for e, u, c in terms:
             add_tensor(img, c, basis.edge_cycles[e], mh.projections[u], t, 1)
-        out.append(img)
+        out.append(img.items())
     # Torsion in MH forces d * unit in every cycle slot of the hom module.
-    for sidx, d in enumerate(mh.group.torsion):
-        for i in range(basis.rank):
-            row = [0] * width
-            row[i * t + sidx] = d
-            out.append(row)
-    return IntMatrix(out, cols=width)
+    for s, d in enumerate(mh.group.torsion):
+        out.extend(((i * t + s, d),) for i in range(basis.rank))
+    return IntMatrix.from_entries(out, basis.rank * t)
 
 
 def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:

@@ -372,3 +372,77 @@ def test_reduce_dimension_mismatch():
         g.reduce([1, 2, 3])
     with pytest.raises(ValueError):
         g.lift([1, 2, 3])
+
+
+def test_exact_boundaries_reject_non_integers():
+    # int() would truncate a float and parse a string; __index__ refuses both.
+    with pytest.raises(TypeError):
+        lattice_members(IntMatrix.identity(2), [[1.5, 0.2]])
+    with pytest.raises(TypeError):
+        lattice_members(IntMatrix.identity(2), [["3", 0]])
+    g = quotient_group(2, IntMatrix([[2, 0]]))
+    for method in (g.reduce, g.lift, g.canonical_coords):
+        for bad in ([1.5, 2.7], [1.9, 0.5], ["1", 0], [2.0, 1]):
+            with pytest.raises(TypeError):
+                method(bad)
+    assert g.reduce([True, sympy.Integer(-1)]) == g.reduce([1, -1])
+    assert g.canonical_coords([sympy.Integer(3), 4]) == (1, 4)
+    assert lattice_members(IntMatrix.identity(2), [[sympy.Integer(2), True]]) == [True]
+
+
+def test_negative_column_counts_are_rejected():
+    with pytest.raises(ValueError):
+        IntMatrix([], cols=-3)
+    for rows in ([], [[(0, 1)]]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_entries(rows, -1)
+    for pairs in ([(2, 1)], [(-1, 1)]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_entries([pairs], 2)
+
+
+def ref_transpose(rows, cols):
+    return [[row[j] for row in rows] for j in range(cols)]
+
+
+def ref_matmul(a, b, cols):
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(row))) for j in range(cols)]
+        for row in a
+    ]
+
+
+def seeded_dense(rng, rows, cols):
+    return [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_sparse_rows_are_the_one_storage():
+    rng = random.Random(9)
+    for _ in range(80):
+        rows, cols, width = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        dense = seeded_dense(rng, rows, cols)
+        pairs = []
+        for row in dense:
+            p = list(enumerate(row))  # zeros included
+            rng.shuffle(p)
+            pairs.append(p)
+        a = IntMatrix(dense, cols=cols)
+        b = IntMatrix.from_entries(pairs, cols)
+        assert a == b and hash(a) == hash(b)
+        assert b.shape == (rows, cols)
+        assert b.data == tuple(map(tuple, dense)) and b.to_lists() == dense
+        assert IntMatrix(b.data, cols=cols) == b
+        for row in b.entries:
+            assert type(row) is dict
+            assert list(row) == sorted(row) and all(row.values())
+        assert a.transpose().to_lists() == ref_transpose(dense, cols)
+        assert a.transpose().transpose() == a
+        other = seeded_dense(rng, cols, width)
+        product = a @ IntMatrix(other, cols=width)
+        assert product.to_lists() == ref_matmul(dense, other, width)
+        assert all(all(row.values()) for row in product.entries)
+        if rows and cols:
+            changed = [list(row) for row in dense]
+            changed[0][0] += 1
+            assert IntMatrix(changed, cols=cols) != b

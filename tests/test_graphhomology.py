@@ -8,7 +8,7 @@ import sympy
 
 from linestab import datasets, graphhomology
 from linestab.combinatorics import GraphKind, ValidationError, build_graph
-from linestab.exactalg import IntMatrix, quotient_group
+from linestab.exactalg import IntMatrix, hermite, quotient_group
 from linestab.graphhomology import (
     cycle_basis,
     meridian_homology,
@@ -150,3 +150,36 @@ def test_eta_hits_every_smith_coordinate():
     for i in range(grp.coord_count):
         unit = tuple(1 if j == i else 0 for j in range(grp.coord_count))
         assert m.eta(grp.lift(unit)) == grp.canonical_coords(unit)
+
+
+def _row_sum(rows):
+    out = {}
+    for row in rows:
+        for j, x in row.items():
+            out[j] = out.get(j, 0) + x
+    return {j: x for j, x in out.items() if x}
+
+
+@pytest.mark.parametrize("kind", list(GraphKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", ["maclane", "quadruplet", "rybnikov"]
+                         + ["generic%d" % n for n in range(3, 9)])
+def test_meridian_projections_are_the_line_map(name, kind):
+    """The projections agree with the map that sends lines 0..n-2 to a
+    basis, line n-1 to minus their sum and each point to the sum of its
+    lines, up to a unimodular change of basis.  Checked without any further
+    Smith elimination, so a garbled projection fails here rather than in
+    the relation matrices built from it."""
+    c = datasets.generic(int(name[7:])) if name.startswith("generic") else getattr(datasets, name)()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_graph(c, kind)
+    proj = meridian_homology(g).projections
+    n = g.n_lines
+    assert len(proj) == g.vertex_count
+    assert all(0 <= s < n - 1 for row in proj for s in row)
+    assert _row_sum(proj[:n]) == {}
+    for v in range(n, g.vertex_count):
+        lines = g.combinatorics.points[g.point_ids[v - n]]
+        assert proj[v] == _row_sum(proj[line] for line in lines)
+    lines = IntMatrix.from_entries((row.items() for row in proj[:n]), n - 1)
+    assert hermite(lines) == IntMatrix.identity(n - 1)

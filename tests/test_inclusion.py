@@ -94,6 +94,10 @@ def test_parse_rejects_bad_files(k4_stab):
     with pytest.raises(ValidationError, match="cycles"):
         parse_inclusion(json.dumps({"cycles": True, "matrix": [[0] * 3],
                                     "basis": BASIS_TAG}), k3)
+    # 3.0 == 3 in Python too.
+    with pytest.raises(ValidationError, match="cycles"):
+        parse_inclusion(json.dumps({"cycles": 3.0, "matrix": [[0] * 4] * 3,
+                                    "basis": BASIS_TAG}), g)
 
 
 @pytest.mark.parametrize("ordering", [

@@ -179,7 +179,8 @@ def ref_quotient_group(relations, out):
 def ref_vec_mat(x, m):
     """Row vector x times the matrix m."""
     assert len(x) == m.rows
-    return [sum(x[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)]
+    data = m.data
+    return [sum(x[i] * data[i][j] for i in range(m.rows)) for j in range(m.cols)]
 
 
 def ref_reduce(x, torsion, to_smith):
