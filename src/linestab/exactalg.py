@@ -11,8 +11,10 @@ Conventions, used package-wide:
   homomorphism Z^a -> Z^b sending x to x*M, and a lattice is the span of a
   matrix's rows.
 * Sparse rows.  IntMatrix stores rows {column: value} and builds .data on
-  each read, so bind it once outside a loop.  The Smith engine consumes
-  copies; a row swap moves one list slot, a column swap a permutation entry.
+  each read, so bind it once outside a loop.  The Smith engine and hermite
+  consume copies; apart from sign flips, _axpy is the one row operation
+  either uses.  A row swap moves one list slot, a column swap a
+  permutation entry.
 * Column log.  The column transform v is never stored.  The engine logs
   each column operation; a row vector is mapped through v (or v^-1) by
   replaying the log forward (or backward), and columns of v (the kernel
@@ -60,12 +62,17 @@ class IntMatrix:
 
     @classmethod
     def from_entries(cls, rows: Iterable[Iterable[tuple[int, int]]], cols: int) -> "IntMatrix":
-        """Row i from the (column, value) pairs of rows[i], in any order; zeros dropped."""
+        """Row i from the (column, value) pairs of rows[i], in any order; zeros
+        dropped.  Columns and values must be __index__ integers (TypeError),
+        and a column may appear once in a row (ValueError)."""
         if cols < 0:
             raise ValueError(f"a matrix cannot have {cols} columns")
         entries = []
         for pairs in rows:
-            row = {j: x for j, x in sorted(pairs) if x}
+            pairs = sorted([(operator.index(j), operator.index(x)) for j, x in pairs])
+            row = {j: x for j, x in pairs if x}  # shorter: zeros, or a column repeats
+            if len(row) != len(pairs) and len(dict(pairs)) != len(pairs):
+                raise ValueError("a column repeats in one row")
             if row and (next(iter(row)) < 0 or next(reversed(row)) >= cols):
                 raise ValueError(f"a column index lies outside range({cols})")
             entries.append(row)
@@ -73,11 +80,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls.from_entries([[(i, 1)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls.from_entries([()] * rows, cols)
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
@@ -345,50 +352,32 @@ def hermite(mat: IntMatrix) -> IntMatrix:
     above a pivot is reduced into [0, pivot).  The row span is unchanged, so
     this is the canonical basis of the lattice spanned by mat's rows.
     """
-    rows, cols = mat.rows, mat.cols
-    a = mat.to_lists()
-    pr = 0  # next pivot row
-    for j in range(cols):
-        while True:
-            best = None
-            best_abs = 0
-            for i in range(pr, rows):
-                x = a[i][j]
-                if x:
-                    if x < 0:
-                        x = -x
-                    if best is None or x < best_abs:
-                        best = i
-                        best_abs = x
-                        if x == 1:
-                            break
-            if best is None:
-                break
-            if best != pr:
-                a[pr], a[best] = a[best], a[pr]
-            if a[pr][j] < 0:
-                a[pr] = [-x for x in a[pr]]
-            p = a[pr][j]
-            done = True
-            for i in range(pr + 1, rows):
-                x = a[i][j]
-                if x:
-                    q = x // p
-                    a[i] = [y - q * z for y, z in zip(a[i], a[pr])]
-                    if a[i][j]:
-                        done = False
-            if done:
-                break
-        if pr < rows and a[pr][j]:
-            p = a[pr][j]
-            for i in range(pr):
-                q = a[i][j] // p
-                if q:
-                    a[i] = [y - q * z for y, z in zip(a[i], a[pr])]
-            pr += 1
-            if pr == rows:
-                break
-    return IntMatrix(a[:pr], cols=cols)
+    rest = [row for row in _sparse_rows(mat) if row]
+    done: list[dict[int, int]] = []
+    for j in range(mat.cols):
+        holders = [row for row in rest if j in row]
+        if not holders:
+            continue
+        # Euclid on column j: the row of least |value| reduces the others.
+        while len(holders) > 1:
+            pivot = min(holders, key=lambda row: abs(row[j]))
+            p = pivot[j]
+            for row in holders:
+                if row is not pivot:
+                    _axpy(row, -(row[j] // p), pivot)
+            holders = [row for row in holders if j in row]
+        (pivot,) = holders
+        if pivot[j] < 0:
+            for k in pivot:
+                pivot[k] = -pivot[k]
+        p = pivot[j]
+        for row in done:
+            q = row.get(j, 0) // p
+            if q:
+                _axpy(row, -q, pivot)
+        done.append(pivot)
+        rest = [row for row in rest if row and row is not pivot]
+    return IntMatrix.from_entries((row.items() for row in done), mat.cols)
 
 
 def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[bool]:

@@ -97,6 +97,11 @@ def invariant(s: StabiliserGroup, m: InclusionMatrix) -> StabiliserClass:
     """The class of the inclusion data in the stabiliser group."""
     if m.ordering.graph != s.graph:
         raise ValidationError("inclusion data belongs to a different graph")
+    if s.basis.root != 0:
+        raise ValidationError(
+            "the stabiliser's basis is rooted at %d, not at the pinned %r"
+            % (s.basis.root, BASIS_TAG)
+        )
     return reduce_to_class(s, m.matrix)
 
 

@@ -211,10 +211,21 @@ def test_hermite_random_against_sympy():
     holds: pivots positive on strictly increasing columns, entries above each
     pivot reduced into [0, pivot)."""
     rng = random.Random(1212)
+    inputs = []
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        a = IntMatrix([[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)])
+        inputs.append([[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)])
+    # Sparse and wider, some rank-deficient: the last row a combination of two.
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 9)
+        m = seeded_dense(rng, rows, cols)
+        if rows > 2 and rng.random() < 0.5:
+            k = rng.randint(-3, 3)
+            m[-1] = [x + k * y for x, y in zip(m[0], m[1])]
+        inputs.append(m)
+    for m in inputs:
+        a = IntMatrix(m)
         h = hermite(a)
         if a.is_zero():
             assert h.rows == 0
@@ -388,6 +399,12 @@ def test_exact_boundaries_reject_non_integers():
     assert g.reduce([True, sympy.Integer(-1)]) == g.reduce([1, -1])
     assert g.canonical_coords([sympy.Integer(3), 4]) == (1, 4)
     assert lattice_members(IntMatrix.identity(2), [[sympy.Integer(2), True]]) == [True]
+    for pairs in ([(0, 1.5)], [(0.0, 1)], [(0, "1")], [("0", 1)]):
+        with pytest.raises(TypeError):
+            IntMatrix.from_entries([pairs], 2)
+    for value in (True, sympy.Integer(1)):
+        for row in IntMatrix.from_entries([[(value, value)]], 2).entries:
+            assert row == {1: 1} and all(type(x) is int for x in (*row, *row.values()))
 
 
 def test_negative_column_counts_are_rejected():
@@ -396,7 +413,7 @@ def test_negative_column_counts_are_rejected():
     for rows in ([], [[(0, 1)]]):
         with pytest.raises(ValueError):
             IntMatrix.from_entries(rows, -1)
-    for pairs in ([(2, 1)], [(-1, 1)]):
+    for pairs in ([(2, 1)], [(-1, 1)], [(0, 1), (0, 2)], [(0, 3), (0, -3)], [(1, 0), (1, 0)]):
         with pytest.raises(ValueError):
             IntMatrix.from_entries([pairs], 2)
 

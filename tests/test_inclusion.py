@@ -17,7 +17,7 @@ from linestab.inclusion import (
     parse_inclusion,
 )
 from linestab.orderings import canonical_ordering, parse_ordering
-from linestab.stabiliser import lift_to_chains, transition
+from linestab.stabiliser import lift_to_chains, stabiliser, transition
 
 from conftest import reduced_graph
 
@@ -249,3 +249,13 @@ def test_compare_transitive_verdicts(maclane_stab):
 def test_invariant_rejects_foreign_graph(maclane_stab, k4_stab):
     with pytest.raises(ValidationError):
         invariant(maclane_stab, zero_incl(k4_stab))
+
+
+def test_invariant_rejects_stabiliser_on_another_root(maclane_stab):
+    """Inclusion data is written in the bfs-root0 basis, so a stabiliser
+    built on another root would give coordinates in a foreign convention."""
+    other = stabiliser(maclane_stab.graph, root=5)
+    a = zero_incl(maclane_stab)
+    for call in (lambda: invariant(other, a), lambda: compare(other, a, a)):
+        with pytest.raises(ValidationError, match="rooted at 5"):
+            call()

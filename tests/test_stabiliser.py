@@ -7,8 +7,8 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from linestab import datasets
-from linestab.combinatorics import LineCombinatorics, ValidationError
-from linestab.exactalg import IntMatrix, lattice_members
+from linestab.combinatorics import GraphKind, LineCombinatorics, ValidationError, build_graph
+from linestab.exactalg import IntMatrix, hermite, lattice_members, quotient_group
 from linestab.orderings import GraphOrdering, canonical_ordering
 from linestab.stabiliser import (
     gs_generators,
@@ -187,6 +187,21 @@ def test_generator_rows_reduce_to_zero(k4_stab):
     for i in range(s.relations.rows):
         m = lift_to_chains(s, s.relations.row(i))
         assert reduce_to_class(s, m).is_zero
+
+
+@pytest.mark.parametrize("kind", list(GraphKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", ["maclane", "quadruplet"])
+def test_hermite_spans_the_relation_lattice(name, kind):
+    """hermite(relations) spans the relation lattice, checked without
+    hermite's own code: every Hermite row is zero in the stabiliser group,
+    every relation is zero modulo the Hermite rows, and the groups agree."""
+    c = getattr(datasets, name)()
+    s = stabiliser(reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind))
+    h = hermite(s.relations)
+    back = quotient_group(s.ambient_rank, h)
+    assert all(not any(s.group.reduce(row)) for row in h.data)
+    assert all(not any(back.reduce(row)) for row in s.relations.data)
+    assert (back.torsion, back.free_rank) == (s.group.torsion, s.group.free_rank)
 
 
 # ----------------------------------------------------------------------------
