@@ -17,12 +17,12 @@ Conventions, used package-wide:
   permutation entry.
 * Column log.  The column transform v is never stored.  The engine logs
   each column operation; a row vector is mapped through v (or v^-1) by
-  replaying the log forward (or backward), and columns of v (the kernel
-  basis of lattice_kernel, to_smith) by replaying it backward.
-* Determinism.  Eliminations pick the nonzero entry of least absolute value
-  as pivot, breaking ties by lowest current row position, then lowest
-  current column position.  Identical inputs give bit-identical outputs on
-  every platform.
+  replaying the log forward (or backward), and columns of v (to_smith) by
+  replaying it backward.
+* Determinism.  Smith pivots are entries of least |value|, ties to the
+  lowest current row, then column, position; hermite's Euclid pivot is the
+  row of least |value|, then the shorter row, then the earlier row.
+  Identical inputs give bit-identical outputs on every platform.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class IntMatrix:
 
     def __init__(self, rows_data: Iterable[Sequence[int]], cols: int | None = None):
         data = tuple(tuple(map(operator.index, row)) for row in rows_data)
+        cols = cols if cols is None else operator.index(cols)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -65,6 +66,7 @@ class IntMatrix:
         """Row i from the (column, value) pairs of rows[i], in any order; zeros
         dropped.  Columns and values must be __index__ integers (TypeError),
         and a column may appear once in a row (ValueError)."""
+        cols = operator.index(cols)
         if cols < 0:
             raise ValueError(f"a matrix cannot have {cols} columns")
         entries = []
@@ -84,6 +86,8 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        if rows < 0:
+            raise ValueError(f"a matrix cannot have {rows} rows")
         return cls.from_entries([()] * rows, cols)
 
     @property
@@ -360,7 +364,7 @@ def hermite(mat: IntMatrix) -> IntMatrix:
             continue
         # Euclid on column j: the row of least |value| reduces the others.
         while len(holders) > 1:
-            pivot = min(holders, key=lambda row: abs(row[j]))
+            pivot = min(holders, key=lambda row: (abs(row[j]), len(row)))
             p = pivot[j]
             for row in holders:
                 if row is not pivot:
@@ -405,17 +409,17 @@ def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[
 
 
 def lattice_kernel(forms: IntMatrix) -> IntMatrix:
-    """Canonical basis of {x in Z^n : f(x) = 0 for every row f of forms}.
+    """Hermite basis of {x in Z^n : f(x) = 0 for every row f of forms}.
 
-    The engine's columns of v past the rank span the kernel.  Rows of the
-    result are its Hermite basis, so no elimination order can change them;
-    its rank is n minus the rank of forms.
+    With h = hermite(forms) of rank m, the Hermite rows of [h^T | I] past
+    the first m span {(0, x) : h x = 0}; shifted by -m, they are the kernel's
+    Hermite basis.  Lattices use hermite; Smith serves group quotients.
     """
-    n = forms.cols
-    diag, _, ops, col_at = _smith_engine(_sparse_rows(forms), n, want_u=False)
-    rank = sum(1 for x in diag if x)
-    v = _transform_columns(ops, n, col_at[rank:])
-    return hermite(IntMatrix.from_entries((r.items() for r in v), n - rank).transpose())
+    h = hermite(forms)
+    m, n = h.rows, h.cols
+    aug = ({**col, m + j: 1}.items() for j, col in enumerate(h.transpose().entries))
+    echelon = hermite(IntMatrix.from_entries(aug, m + n)).entries
+    return IntMatrix.from_entries(([(k - m, x) for k, x in r.items()] for r in echelon[m:]), n)
 
 
 # ----------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+from linestab import datasets, looplink
+from linestab.combinatorics import GraphKind, build_graph
 from linestab.exactalg import (
     IntMatrix,
     hermite,
@@ -224,6 +226,12 @@ def test_hermite_random_against_sympy():
             k = rng.randint(-3, 3)
             m[-1] = [x + k * y for x, y in zip(m[0], m[1])]
         inputs.append(m)
+    # Seeded row permutations and duplicated rows of the inputs so far: the
+    # checks below pin the unique Hermite form, so no pivot rule, and no
+    # tie-break by row length, can change hermite's output on them.
+    for m in inputs[::4]:
+        inputs.append(rng.sample(m, len(m)))
+        inputs.append(m + [m[rng.randrange(len(m))]])
     for m in inputs:
         a = IntMatrix(m)
         h = hermite(a)
@@ -326,10 +334,24 @@ def test_lattice_kernel_goldens():
 
 def test_lattice_kernel_rank_and_soundness():
     rng = random.Random(808)
+    inputs = []
     for _ in range(40):
         n = rng.randint(2, 5)
         k = rng.randint(1, 4)
-        forms = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)])
+        inputs.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)])
+    # Up to 8x12 with about 70 % zeros; half carry a row combining two others.
+    for i in range(30):
+        n, k = rng.randint(1, 12), rng.randint(1, 8)
+        m = [[rng.choice((0,) * 7 + (rng.randint(-5, 5),) * 3) for _ in range(n)]
+             for _ in range(k)]
+        if k > 2 and i % 2:
+            a, b, c = rng.sample(range(k), 3)
+            q = rng.randint(-3, 3)
+            m[c] = [x + q * y for x, y in zip(m[a], m[b])]
+        inputs.append(m)
+    for m in inputs:
+        forms = IntMatrix(m)
+        n = forms.cols
         ker = lattice_kernel(forms)
         rank = sympy.Matrix(forms.to_lists()).rank()
         assert ker.rows == n - rank
@@ -349,6 +371,70 @@ def test_lattice_kernel_is_saturated():
             x = [rng.randint(-6, 6) for _ in range(n)]
             if sum(a * b for a, b in zip(x, forms.data[0])) == 0:
                 assert lattice_members(ker, [x])[0]
+    # 2-3 forms, some with non-primitive rows.  Random points rarely solve
+    # them, so the solutions are built from sympy's rational kernel, each
+    # divided by the gcd of its entries; a lattice that misses one of them is
+    # not saturated.
+    hand_made = [
+        ([[2, 4, 0], [0, 0, 3]], [[-2, 1, 0]]),
+        ([[2, 2, 0, 0], [0, 0, 6, 3], [1, 1, 2, 1]], [[1, -1, 0, 0], [0, 0, 1, -2]]),
+    ]
+    for m, solutions in hand_made:
+        assert all(lattice_members(lattice_kernel(IntMatrix(m)), solutions))
+    for _ in range(20):
+        n, k = rng.randint(3, 6), rng.randint(2, 3)
+        forms = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)])
+        ker = lattice_kernel(forms)
+        basis = []
+        for v in sympy.Matrix(forms.to_lists()).nullspace():
+            scale = sympy.ilcm(*[x.q for x in v])
+            basis.append([int(x * scale) for x in v])
+        for _ in range(10):
+            x = [0] * n
+            for b in basis:
+                c = rng.randint(-6, 6)
+                x = [xi + c * bi for xi, bi in zip(x, b)]
+            g = sympy.igcd(*x) or 1
+            x = [xi // g for xi in x]
+            assert all(sum(a * b for a, b in zip(x, f)) == 0 for f in forms.data)
+            assert lattice_members(ker, [x])[0]
+
+
+def tlg_forms(name, monkeypatch):
+    """The forms that tlg() hands to lattice_kernel on the full graph."""
+    recorded = []
+    with monkeypatch.context() as patch:
+        patch.setattr(looplink, "lattice_kernel", recorded.append)
+        looplink.tlg(build_graph(getattr(datasets, name)(), GraphKind.FULL))
+    return recorded[0]
+
+
+def test_lattice_kernel_depends_on_the_rational_span_only(monkeypatch):
+    """The kernel is a function of the forms' rational row span: permuting,
+    duplicating, adding zero rows, unimodular row operations and scaling a
+    row by 2 or -3 keep it.  The kernel is saturated: Z^n modulo it, by the
+    Smith engine, is torsion-free.  A kernel that is not saturated, or that
+    depends on the order of the rows, fails."""
+    rng = random.Random(810)
+    inputs = [seeded_dense(rng, rng.randint(1, 7), rng.randint(1, 10)) for _ in range(25)]
+    inputs += [tlg_forms(name, monkeypatch).to_lists() for name in ("maclane", "quadruplet")]
+    for m in inputs:
+        ker = lattice_kernel(IntMatrix(m))
+        assert quotient_group(ker.cols, ker).torsion == ()
+        i, j = rng.randrange(len(m)), rng.randrange(len(m))
+        added, c = [row[:] for row in m], rng.choice((-2, 1, 3))
+        if i != j:
+            added[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        variants = [
+            rng.sample(m, len(m)),
+            m + [m[i]],
+            m + [[0] * len(m[0])],
+            added,
+            [[2 * x for x in row] if k == i else row for k, row in enumerate(m)],
+            [[-3 * x for x in row] if k == j else row for k, row in enumerate(m)],
+        ]
+        for variant in variants:
+            assert lattice_kernel(IntMatrix(variant)) == ker
 
 
 def test_int_matrix_entries_must_be_integers():
@@ -405,6 +491,15 @@ def test_exact_boundaries_reject_non_integers():
     for value in (True, sympy.Integer(1)):
         for row in IntMatrix.from_entries([[(value, value)]], 2).entries:
             assert row == {1: 1} and all(type(x) is int for x in (*row, *row.values()))
+    # Column counts go through __index__ too.
+    for make in (lambda: IntMatrix([], cols=2.0), lambda: IntMatrix([[1, 2]], cols=2.0),
+                 lambda: IntMatrix.from_entries([[(0, 1)]], 2.5),
+                 lambda: IntMatrix.from_entries([], "2"), lambda: IntMatrix.zeros(1, 2.0)):
+        with pytest.raises(TypeError):
+            make()
+    for cols in (True, sympy.Integer(1)):
+        for m in (IntMatrix.from_entries([], cols), IntMatrix([], cols=cols)):
+            assert m.shape == (0, 1) and type(m.cols) is int
 
 
 def test_negative_column_counts_are_rejected():
@@ -413,6 +508,9 @@ def test_negative_column_counts_are_rejected():
     for rows in ([], [[(0, 1)]]):
         with pytest.raises(ValueError):
             IntMatrix.from_entries(rows, -1)
+    for rows, cols in ((-1, 2), (0, -1)):
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(rows, cols)
     for pairs in ([(2, 1)], [(-1, 1)], [(0, 1), (0, 2)], [(0, 3), (0, -3)], [(1, 0), (1, 0)]):
         with pytest.raises(ValueError):
             IntMatrix.from_entries([pairs], 2)

@@ -8,10 +8,10 @@ carrying the column transform, so engine() below rebuilds vt (the columns
 of v, as rows) and vinv (v's inverse) from that log.  Its diagonal, u, vt
 and vinv must equal the reference's exactly, with and without u; smith()
 and quotient_group() with its reduce() and lift() must then equal what the
-dense engine made of the same output.  lattice_kernel() reads its kernel
-from the columns of v, where the dense engine read it from u on the
-transposed forms; the Hermite basis of the kernel lattice is unique, so
-both must agree.
+dense engine made of the same output.  lattice_kernel() takes its kernel
+from Hermite forms and runs no Smith elimination; the dense engine reads
+it from u on the transposed forms, and the Hermite basis of the kernel
+lattice is unique, so both must agree.
 
 The reference takes about 5 s on each Rybnikov matrix, so those three are
 pinned by digest instead: RYBNIKOV_DIGESTS holds the SHA-256 of
