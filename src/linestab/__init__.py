@@ -13,6 +13,7 @@ from linestab.exactalg import (
     lattice_kernel,
     lattice_members,
     quotient_group,
+    quotient_type,
     smith,
 )
 
@@ -26,6 +27,7 @@ __all__ = [
     "lattice_kernel",
     "lattice_members",
     "quotient_group",
+    "quotient_type",
     "smith",
     "__version__",
 ]

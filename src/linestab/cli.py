@@ -34,12 +34,13 @@ from .combinatorics import (
     build_graph,
     parse_combinatorics,
 )
+from .exactalg import quotient_type
 from .graphhomology import cycle_basis, meridian_homology
 from .inclusion import Verdict, compare, invariant, parse_inclusion
 from .looplink import lln, tlg
 from .orderings import canonical_ordering, parse_ordering
 from .pi1 import abelianise, pi1_presentation, presentation_text
-from .stabiliser import stabiliser, transition
+from .stabiliser import stabiliser, stabiliser_relations, transition
 
 __all__ = ["Report", "build_parser", "main"]
 
@@ -92,12 +93,15 @@ def _graph_info(g) -> tuple:
 
 
 def _stabiliser(g) -> tuple:
-    s = stabiliser(g)
+    # Only the group type is printed, so no coordinates are built.
+    basis, mh, relations = stabiliser_relations(g)
+    ambient = basis.rank * mh.group.coord_count
+    group = quotient_type(ambient, relations)
     return (
-        {"graph": g.kind.value, "group": str(s.group), "ambient_rank": s.ambient_rank,
-         "relations": s.relations.rows, "cycle_rank": s.basis.rank},
-        ["stabiliser group: %s" % s.group, "ambient rank: %d" % s.ambient_rank,
-         "relations: %d" % s.relations.rows, "cycle rank: %d" % s.basis.rank],
+        {"graph": g.kind.value, "group": group, "ambient_rank": ambient,
+         "relations": relations.rows, "cycle_rank": basis.rank},
+        ["stabiliser group: %s" % group, "ambient rank: %d" % ambient,
+         "relations: %d" % relations.rows, "cycle rank: %d" % basis.rank],
     )
 
 

@@ -14,11 +14,17 @@ Conventions, used package-wide:
   each read, so bind it once outside a loop.  The Smith engine and hermite
   consume copies; apart from sign flips, _axpy is the one row operation
   either uses.  A row swap moves one list slot, a column swap a
-  permutation entry.
+  permutation entry.  from_entries is the checked way in; the package's
+  own producers build through the unchecked _from_rows.
 * Column log.  The column transform v is never stored.  The engine logs
   each column operation; a row vector is mapped through v (or v^-1) by
   replaying the log forward (or backward), and columns of v (to_smith) by
   replaying it backward.
+* Quotients.  Smith serves group quotients and hermite serves lattices.
+  quotient_group runs the engine on the relations as given, because
+  reduce() and lift() speak its coordinates; quotient_type needs only the
+  invariants, so it runs the engine on hermite(relations): the same
+  lattice, in echelon form, where the engine has little left to do.
 * Determinism.  Smith pivots are entries of least |value|, ties to the
   lowest current row, then column, position; hermite's Euclid pivot is the
   row of least |value|, then the shorter row, then the earlier row.
@@ -79,6 +85,15 @@ class IntMatrix:
                 raise ValueError(f"a column index lies outside range({cols})")
             entries.append(row)
         return cls.__new__(cls)._set(tuple(entries), cols)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[dict[int, int]], cols: int) -> "IntMatrix":
+        """Unchecked build for the package's own producers: rows {column:
+        int} in any key order, zeros allowed, every column in range(cols).
+        from_entries() is the checked entry for everything else."""
+        return cls.__new__(cls)._set(
+            tuple({j: x for j, x in sorted(row.items()) if x} for row in rows), cols
+        )
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -381,7 +396,7 @@ def hermite(mat: IntMatrix) -> IntMatrix:
                 _axpy(row, -q, pivot)
         done.append(pivot)
         rest = [row for row in rest if row and row is not pivot]
-    return IntMatrix.from_entries((row.items() for row in done), mat.cols)
+    return IntMatrix._from_rows(done, mat.cols)
 
 
 def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[bool]:
@@ -417,9 +432,9 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
     """
     h = hermite(forms)
     m, n = h.rows, h.cols
-    aug = ({**col, m + j: 1}.items() for j, col in enumerate(h.transpose().entries))
-    echelon = hermite(IntMatrix.from_entries(aug, m + n)).entries
-    return IntMatrix.from_entries(([(k - m, x) for k, x in r.items()] for r in echelon[m:]), n)
+    aug = ({**col, m + j: 1} for j, col in enumerate(h.transpose().entries))
+    echelon = hermite(IntMatrix._from_rows(aug, m + n)).entries
+    return IntMatrix._from_rows(({k - m: x for k, x in r.items()} for r in echelon[m:]), n)
 
 
 # ----------------------------------------------------------------------------
@@ -474,7 +489,7 @@ class AbelianGroup:
     def to_smith(self) -> IntMatrix:
         """n x t matrix: ambient row vector -> Smith coordinates."""
         rows = _transform_columns(self._ops, self.ambient_rank, self._retained)
-        return IntMatrix.from_entries((r.items() for r in rows), self.coord_count)
+        return IntMatrix._from_rows(rows, self.coord_count)
 
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the class of x.
@@ -543,3 +558,15 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
     retained = [col_at[k] for k in range(n) if diagonal[k] != 1]
     torsion = tuple(x for x in diagonal if x > 1)
     return AbelianGroup(n, torsion, len(retained) - len(torsion), ops, retained)
+
+
+def quotient_type(ambient_rank: int, relations: IntMatrix) -> str:
+    """str(quotient_group(ambient_rank, relations)), read off the Hermite form.
+
+    hermite(relations) spans the same lattice, and the Smith invariants
+    depend on the lattice only, so the group type is the same; the engine
+    on the Hermite rows is much cheaper than on the raw relations.  Its
+    coordinates differ from quotient_group's and are never exposed: only the
+    string leaves this function.
+    """
+    return str(quotient_group(ambient_rank, hermite(relations)))

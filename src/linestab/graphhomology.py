@@ -93,8 +93,8 @@ def cycle_basis(g: DecoratedGraph, root: int = 0) -> CycleBasis:
                 p = parent[x]
                 row[g.edge_position(x, p)] += sign if x < p else -sign
                 x = p
-        rows.append(row.items())
-    zeta = IntMatrix.from_entries(rows, g.edge_count)
+        rows.append(row)
+    zeta = IntMatrix._from_rows(rows, g.edge_count)
     return CycleBasis(g, root, tuple(sorted(tree)), non_tree, zeta, zeta.transpose().entries)
 
 
@@ -119,16 +119,16 @@ def meridian_homology(g: DecoratedGraph) -> MeridianHomology:
             row = defaultdict(int, {v: g.euler[v]})
             for w in g.neighbours[v]:
                 row[w] += 1
-            rows.append(row.items())
+            rows.append(row)
     else:
         comb = g.combinatorics
         for v in range(comb.n_lines, n):
             row = defaultdict(int, {v: 1})
             for line in comb.points[g.point_ids[v - comb.n_lines]]:
                 row[line] -= 1
-            rows.append(row.items())
-        rows.append([(v, 1) for v in range(comb.n_lines)])
-    group = quotient_group(n, IntMatrix.from_entries(rows, n))
+            rows.append(row)
+        rows.append(dict.fromkeys(range(comb.n_lines), 1))
+    group = quotient_group(n, IntMatrix._from_rows(rows, n))
     return MeridianHomology(g, group, group.to_smith.entries)
 
 

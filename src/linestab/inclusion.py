@@ -81,16 +81,20 @@ def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
     matrix = raw["matrix"]
     if not isinstance(matrix, list) or len(matrix) != rank:
         raise ValidationError("matrix must have one row per cycle")
+    entries = []
     for row in matrix:
         if not isinstance(row, list) or len(row) != g.vertex_count:
             raise ValidationError("matrix rows must have one entry per vertex")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
+        # JSON integers are exactly the int instances; True and 1.0 are not.
+        if not all(type(x) is int for x in row):
             raise ValidationError("matrix entries must be integers")
+        entries.append({j: x for j, x in enumerate(row) if x})
     if "ordering" in raw:
         ordering = ordering_from_doc(raw["ordering"], g)
     else:
         ordering = canonical_ordering(g)
-    return InclusionMatrix(IntMatrix(matrix, cols=g.vertex_count), ordering, BASIS_TAG)
+    m = IntMatrix.__new__(IntMatrix)._set(tuple(entries), g.vertex_count)
+    return InclusionMatrix(m, ordering, BASIS_TAG)
 
 
 def invariant(s: StabiliserGroup, m: InclusionMatrix) -> StabiliserClass:

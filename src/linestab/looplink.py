@@ -92,9 +92,9 @@ def tlg(g: DecoratedGraph) -> TensorLinkingGroup:
     def form(u: int, e: int):
         row = defaultdict(int)
         add_tensor(row, 1, basis.edge_cycles[e], mh.projections[u], 1, k)
-        return row.items()
+        return row
 
-    lattice = lattice_kernel(IntMatrix.from_entries((form(u, e) for u, e in gens), width))
+    lattice = lattice_kernel(IntMatrix._from_rows((form(u, e) for u, e in gens), width))
     return TensorLinkingGroup(g, basis, mh, tuple(gens), lattice)
 
 

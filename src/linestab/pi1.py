@@ -94,8 +94,8 @@ def abelianise(p: GroupPresentation) -> AbelianGroup:
         row = defaultdict(int)
         for letter in word:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row.items())
-    return quotient_group(p.generator_count, IntMatrix.from_entries(rows, p.generator_count))
+        rows.append(row)
+    return quotient_group(p.generator_count, IntMatrix._from_rows(rows, p.generator_count))
 
 
 def presentation_text(p: GroupPresentation) -> str:

@@ -39,6 +39,7 @@ __all__ = [
     "lift_to_chains",
     "reduce_to_class",
     "stabiliser",
+    "stabiliser_relations",
     "transition",
 ]
 
@@ -122,18 +123,26 @@ def _push_to_hom(basis: CycleBasis, mh: MeridianHomology) -> IntMatrix:
         img = defaultdict(int)
         for e, u, c in terms:
             add_tensor(img, c, basis.edge_cycles[e], mh.projections[u], t, 1)
-        out.append(img.items())
+        out.append(img)
     # Torsion in MH forces d * unit in every cycle slot of the hom module.
     for s, d in enumerate(mh.group.torsion):
-        out.extend(((i * t + s, d),) for i in range(basis.rank))
-    return IntMatrix.from_entries(out, basis.rank * t)
+        out.extend({i * t + s: d} for i in range(basis.rank))
+    return IntMatrix._from_rows(out, basis.rank * t)
+
+
+def stabiliser_relations(
+    g: DecoratedGraph, root: int = 0
+) -> tuple[CycleBasis, MeridianHomology, IntMatrix]:
+    """The cycle basis, meridian homology and relation rows in flattened
+    hom(H1, MH) coordinates that stabiliser() takes the quotient of."""
+    basis = cycle_basis(g, root)
+    mh = meridian_homology(g)
+    return basis, mh, _push_to_hom(basis, mh)
 
 
 def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:
     """Quotient of hom(H1, MH) by the images of the relation generators."""
-    basis = cycle_basis(g, root)
-    mh = meridian_homology(g)
-    relations = _push_to_hom(basis, mh)
+    basis, mh, relations = stabiliser_relations(g, root)
     group = quotient_group(basis.rank * mh.group.coord_count, relations)
     return StabiliserGroup(g, basis, mh, relations, group)
 

@@ -3,15 +3,17 @@
 import json
 import subprocess
 import sys
+import warnings
 from importlib.resources import files
 
 import pytest
 
 from conftest import reduced_graph
-from linestab import cli
+from linestab import cli, datasets
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.datasets import generic, maclane
 from linestab.inclusion import BASIS_TAG
+from linestab.stabiliser import stabiliser
 
 MACLANE = str(files("linestab") / "data" / "maclane.json")
 QUADRUPLET = str(files("linestab") / "data" / "quadruplet.json")
@@ -158,6 +160,26 @@ def test_stabiliser_quadruplet():
     result = run_cli("stabiliser", QUADRUPLET)
     assert result.returncode == 0
     assert "Z/5 ⊕ Z^119" in result.stdout
+
+
+@pytest.mark.parametrize("kind", list(GraphKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", ["maclane", "quadruplet", "rybnikov"])
+def test_stabiliser_report_is_the_library_stabiliser(name, kind, capsys):
+    """The command reads its group off the Hermite form; every field must
+    still be the library stabiliser's, on the report and on the lines."""
+    path = str(files("linestab") / "data" / (name + ".json"))
+    assert cli.main(["stabiliser", "--graph", kind.value, path, "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = stabiliser(build_graph(getattr(datasets, name)(), kind))
+    assert result == {"graph": kind.value, "group": str(s.group),
+                      "ambient_rank": s.ambient_rank, "relations": s.relations.rows,
+                      "cycle_rank": s.basis.rank}
+    assert cli.main(["stabiliser", "--graph", kind.value, path]) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "stabiliser group: %s" % s.group, "ambient rank: %d" % s.ambient_rank,
+        "relations: %d" % s.relations.rows, "cycle rank: %d" % s.basis.rank]
 
 
 def test_stabiliser_rejects_pencil(tmp_path):

@@ -8,15 +8,19 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from linestab import datasets, looplink
-from linestab.combinatorics import GraphKind, build_graph
+from linestab.combinatorics import GraphKind, LineCombinatorics, build_graph
 from linestab.exactalg import (
     IntMatrix,
     hermite,
     lattice_kernel,
     lattice_members,
     quotient_group,
+    quotient_type,
     smith,
 )
+from linestab.stabiliser import stabiliser_relations
+
+from conftest import reduced_graph
 
 
 def diag_of(m):
@@ -124,6 +128,80 @@ def test_group_str_rendering():
     assert str(quotient_group(1, IntMatrix([], cols=1))) == "Z"
     g = quotient_group(3, IntMatrix([[2, 0, 0], [0, 6, 0]]))
     assert str(g) == "Z/2 ⊕ Z/6 ⊕ Z"
+
+
+def torsion_relations(rng):
+    """Seeded relations whose quotient tends to have torsion: some rows
+    scaled by 2-6, a duplicated row and a combination of two rows."""
+    n = rng.randint(1, 9)
+    rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+            for _ in range(rng.randint(1, 7))]
+    for row in rng.sample(rows, rng.randint(1, len(rows))):
+        c = rng.randint(2, 6)
+        row[:] = [c * x for x in row]
+    if rng.random() < 0.6:
+        rows.append(list(rng.choice(rows)))
+    if len(rows) > 1 and rng.random() < 0.6:
+        a, b = rng.sample(rows, 2)
+        c = rng.choice((-2, -1, 1, 3))
+        rows.append([x + c * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return n, IntMatrix(rows, cols=n)
+
+
+def relabelled(c, rng):
+    perm = list(range(c.n_lines))
+    rng.shuffle(perm)
+    return LineCombinatorics(c.n_lines, tuple(tuple(sorted(perm[i] for i in p)) for p in c.points))
+
+
+def graph_of(c, kind):
+    return reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
+
+
+def stabiliser_inputs(c, kind):
+    """(ambient rank, relations) of the stabiliser of c on one graph."""
+    basis, mh, relations = stabiliser_relations(graph_of(c, kind))
+    return basis.rank * mh.group.coord_count, relations
+
+
+def test_quotient_type_is_the_quotient_group_string():
+    """quotient_type reads the group off the Hermite form; it must print
+    exactly what quotient_group prints for the relations as given.  A
+    Hermite form missing a row, or a wrong lattice, prints another group."""
+    rng = random.Random(1313)
+    cases = [
+        stabiliser_inputs(getattr(datasets, name)(), kind)
+        for name in ("maclane", "quadruplet", "rybnikov")
+        for kind in GraphKind
+    ]
+    cases += [
+        stabiliser_inputs(relabelled(datasets.generic(n), rng), kind)
+        for n in range(6, 13)
+        for kind in GraphKind
+    ]
+    cases += [torsion_relations(rng) for _ in range(40)]
+    cases += [
+        (3, IntMatrix([], cols=3)),
+        (2, IntMatrix([[2, 1], [1, 1]])),
+        (2, IntMatrix([[1, 0], [0, 1], [3, 5]])),
+        (0, IntMatrix([], cols=0)),
+        (0, IntMatrix([[], []], cols=0)),
+        (4, IntMatrix([[0, 0, 0, 0]] * 3)),
+    ]
+    types = []
+    for n, relations in cases:
+        expected = str(quotient_group(n, relations))
+        assert quotient_type(n, relations) == expected
+        types.append(expected)
+    # The published groups, the same on both graphs.
+    assert types[:6] == [t for t in ("Z/3 ⊕ Z^35", "Z/5 ⊕ Z^119", "Z/3 ⊕ Z/3 ⊕ Z^220")
+                         for _ in range(2)]
+    random_types = types[-46:-6]
+    assert sum("Z/" in t for t in random_types) >= 20
+    assert types[-6:] == ["Z^3", "0", "0", "0", "0", "Z^4"]
+    with pytest.raises(ValueError, match="ambient rank"):
+        quotient_type(3, IntMatrix([[1, 2]]))
 
 
 def test_quotient_row_shuffle_invariance():
@@ -561,3 +639,28 @@ def test_sparse_rows_are_the_one_storage():
             changed = [list(row) for row in dense]
             changed[0][0] += 1
             assert IntMatrix(changed, cols=cols) != b
+
+
+def checked_rows(m):
+    """m's rows rebuilt through the checked from_entries, as ordered pairs."""
+    rebuilt = IntMatrix.from_entries((row.items() for row in m.entries), m.cols)
+    return [list(row.items()) for row in rebuilt.entries]
+
+
+@pytest.mark.parametrize("kind", list(GraphKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", ["maclane", "quadruplet"])
+def test_internal_producers_match_the_checked_build(name, kind, monkeypatch):
+    """The package's own producers skip from_entries' checks; their rows
+    must be exactly what it would build: ascending keys, no zeros, plain
+    ints, columns in range.  Key order matters to hash()."""
+    c = getattr(datasets, name)()
+    g = graph_of(c, kind)
+    basis, mh, relations = stabiliser_relations(g)
+    built = [relations, basis.zeta, hermite(relations), mh.group.to_smith,
+             quotient_group(relations.cols, relations).to_smith]
+    if kind is GraphKind.FULL:
+        forms = tlg_forms(name, monkeypatch)
+        built += [forms, lattice_kernel(forms)]
+    for m in built:
+        assert [list(row.items()) for row in m.entries] == checked_rows(m)
+        assert all(type(x) is int for row in m.entries for x in row.values())

@@ -65,6 +65,20 @@ def test_parse_roundtrip(k4_stab):
     assert m.basis_tag == BASIS_TAG
 
 
+def test_parsed_rows_are_the_checked_build(quadruplet_stab):
+    """parse_inclusion builds the sparse rows itself; they must be what the
+    dense constructor builds, key order included (hash() reads it)."""
+    g = quadruplet_stab.graph
+    rng = random.Random(37)
+    for _ in range(10):
+        matrix = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(g.vertex_count)]
+                  for _ in range(quadruplet_stab.basis.rank)]
+        m = parse_inclusion(incl_json(g, matrix), g).matrix
+        dense = IntMatrix(matrix, cols=g.vertex_count)
+        assert m == dense and hash(m) == hash(dense) and m.shape == dense.shape
+        assert [list(r.items()) for r in m.entries] == [list(r.items()) for r in dense.entries]
+
+
 def test_parse_reads_ordering(k4_stab):
     g = k4_stab.graph
     doc = incl_json(g, [[0] * 4] * 3, ordering={"order": {"L0": ["L3", "L1", "L2"]}})
@@ -89,6 +103,13 @@ def test_parse_rejects_bad_files(k4_stab):
         parse_inclusion(incl_json(g, [[0, 0, 0, 0.5]] + [[0] * 4] * 2), g)
     with pytest.raises(ValidationError, match="integers"):
         parse_inclusion(incl_json(g, [[0, 0, 0, True]] + [[0] * 4] * 2), g)
+    for bad in ("1", None, [1], 2.0):
+        with pytest.raises(ValidationError, match="integers"):
+            parse_inclusion(incl_json(g, [[0] * 4, [0, bad, 0, 0], [0] * 4]), g)
+    with pytest.raises(ValidationError, match="per vertex"):
+        parse_inclusion(incl_json(g, [[0] * 4, [0] * 5, [0] * 4]), g)
+    with pytest.raises(ValidationError, match="per vertex"):
+        parse_inclusion(incl_json(g, [[0] * 4, 7, [0] * 4]), g)
     # K3 has cycle rank 1, and true == 1 in Python.
     k3 = reduced_graph(datasets.generic(3))
     with pytest.raises(ValidationError, match="cycles"):
