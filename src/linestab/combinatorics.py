@@ -11,7 +11,10 @@ which intersection points.  Two graphs are built from it:
 
 This module also hosts the exact projective-geometry oracle
 intersect_equations(), which recovers a combinatorics from line equations
-with coefficients in a number field Q[w]/(minpoly).
+with coefficients in a number field Q[w]/(minpoly), minpoly irreducible
+over Q.  Three lines are concurrent iff the determinant of their equations
+vanishes, so the oracle uses ring arithmetic only, plus one unit check: a
+zero divisor on a line or an intersection point means minpoly is reducible.
 """
 
 from __future__ import annotations
@@ -290,10 +293,12 @@ def euler_number(g: DecoratedGraph, v: int) -> int:
 
 
 class NumberField:
-    """Q[w] / (minpoly), with elements as tuples of Fractions.
+    """Q[w] / (minpoly), with elements as tuples of rationals.
 
     minpoly lists integer coefficients in ascending powers of w; it need not
     be monic.  Use [0, 1] (the polynomial w) for plain rational arithmetic.
+    It offers ring operations only, plus check_unit, which tells a unit
+    from a zero divisor.
     """
 
     def __init__(self, minpoly: Sequence[int]):
@@ -302,70 +307,37 @@ class NumberField:
             coeffs.pop()
         if len(coeffs) < 2:
             raise ValidationError("minimal polynomial must have degree >= 1")
-        lead = coeffs[-1]
-        self.minpoly = tuple(c / lead for c in coeffs)
+        self.minpoly = tuple(coeffs)
         self.degree = len(self.minpoly) - 1
 
-    def element(self, coeffs: Sequence) -> tuple[Fraction, ...]:
-        poly = [Fraction(c) for c in coeffs]
-        return self._reduce(poly)
+    def element(self, poly: Sequence) -> tuple:
+        """The element represented by a polynomial, ascending in powers of w."""
+        return tuple(_poly_rem(list(poly) + [0] * self.degree, self.minpoly))
 
-    def _reduce(self, poly: list[Fraction]) -> tuple[Fraction, ...]:
-        d = self.degree
-        poly = poly[:]
-        for k in range(len(poly) - 1, d - 1, -1):
-            c = poly[k]
-            if c:
-                for i in range(d + 1):
-                    poly[k - d + i] -= c * self.minpoly[i]
-        poly = poly[:d]
-        poly.extend([Fraction(0)] * (d - len(poly)))
-        return tuple(poly)
+    def cross(self, a, b):
+        """a × b: the point on lines a and b, zero iff they are proportional."""
+        return tuple(
+            self.element(
+                [x - y for x, y in zip(_poly_mul(a[i], b[j]), _poly_mul(a[j], b[i]))]
+            )
+            for i, j in ((1, 2), (2, 0), (0, 1))
+        )
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+    def dot(self, a, b):
+        """a · b, reduced once: zero iff point a lies on line b."""
+        return self.element([sum(c) for c in zip(*map(_poly_mul, a, b))])
 
-    def mul(self, a, b):
-        return self._reduce(_poly_mul(a, b))
-
-    def is_zero(self, a) -> bool:
-        return not any(a)
-
-    def inv(self, a):
-        """Inverse via the extended Euclidean algorithm in Q[X]."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        # r0 = minpoly, r1 = a; track only the coefficient of a.
-        r0 = list(self.minpoly)
-        r1 = list(a)
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
+    def check_unit(self, a) -> None:
+        """Raise ValidationError if a is a zero divisor: gcd(minpoly, a) ≠ 1."""
+        r0, r1 = self.minpoly, [Fraction(c) for c in a]
         while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is now gcd(minpoly, a): a nonzero constant when minpoly is
-        # irreducible, which is the only supported use.
-        if _poly_degree(r0) > 0:
+            while not r1[-1]:
+                r1.pop()
+            r0, r1 = r1, _poly_rem(r0, r1)
+        if len(r0) > 1:
             raise ValidationError(
                 "minimal polynomial is reducible: zero divisor encountered"
             )
-        lead = r0[0]
-        return self._reduce([c / lead for c in s0])
-
-
-def _poly_degree(p) -> int:
-    for k in range(len(p) - 1, -1, -1):
-        if p[k]:
-            return k
-    return -1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def _poly_mul(a, b):
@@ -378,29 +350,20 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod(a, b):
+def _poly_rem(a, m):
+    """a mod m, as len(m) - 1 coefficients; m's last coefficient is nonzero."""
     a = list(a)
-    db = _poly_degree(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(_poly_degree(a), db - 1, -1):
-        c = a[k] / lead
+    for k in range(len(a) - len(m), -1, -1):
+        c = a[k + len(m) - 1] / m[-1]
         if c:
-            q[k - db] = c
-            for i in range(db + 1):
-                a[k - db + i] -= c * b[i]
-    return q, a
+            for i, x in enumerate(m):
+                a[k + i] -= c * x
+    return a[: len(m) - 1]
 
 
-def _normalise_projective(field: NumberField, vec):
-    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
-    for coord in vec:
-        if not field.is_zero(coord):
-            scale = field.inv(coord)
-            return tuple(field.mul(scale, c) for c in vec)
-    return None
+def _lead(vec):
+    """The first nonzero coordinate of a projective vector, or None."""
+    return next((c for c in vec if any(c)), None)
 
 
 def _is_int_list(x) -> bool:
@@ -432,41 +395,48 @@ def intersect_equations(
 
     Each line is three coefficient vectors (for x, y, z), each a list of
     integer coefficients in ascending powers of w, where w is a root of
-    minpoly.  Intersections are exact cross products over Q[w]/(minpoly);
-    the returned points are sorted lexicographically.
+    minpoly.  Lines i and j meet at p = L_i × L_j, and line k passes through
+    p iff p · L_k = 0.  A point is found once, at its first pair (i, j), by
+    testing the lines k > j whose pair (i, k) is on no point yet; the
+    returned points are sorted lexicographically.  A zero divisor as the
+    first nonzero coordinate of a line or of some L_i × L_j raises
+    ValidationError: minpoly must be irreducible over Q.
     """
     _check_equation_shapes(lines, minpoly)
     field = NumberField(minpoly)
-    parsed = []
+    vecs = []
     for idx, line in enumerate(lines):
         vec = tuple(field.element(c) for c in line)
-        norm = _normalise_projective(field, vec)
-        if norm is None:
+        lead = _lead(vec)
+        if lead is None:
             raise ValidationError(f"line {idx} has all-zero coefficients")
-        parsed.append(norm)
-    seen: dict = {}
-    for idx, vec in enumerate(parsed):
-        if vec in seen:
-            raise ValidationError(f"lines {seen[vec]} and {idx} are equal")
-        seen[vec] = idx
+        field.check_unit(lead)
+        vecs.append(vec)
 
-    points: dict = {}
-    n = len(parsed)
-    for i in range(n):
-        a = parsed[i]
-        for j in range(i + 1, n):
-            b = parsed[j]
-            cross = (
-                field.sub(field.mul(a[1], b[2]), field.mul(a[2], b[1])),
-                field.sub(field.mul(a[2], b[0]), field.mul(a[0], b[2])),
-                field.sub(field.mul(a[0], b[1]), field.mul(a[1], b[0])),
-            )
-            key = _normalise_projective(field, cross)
-            if key is None:
-                raise ValidationError(f"lines {i} and {j} are projectively equal")
-            points.setdefault(key, set()).update((i, j))
-    point_list = sorted(tuple(sorted(p)) for p in points.values())
-    return _as_combinatorics(n, point_list)
+    n = len(vecs)
+    met = [set() for _ in range(n)]  # met[i]: lines on a point found with i
+    points = []
+    leads = set()
+    for j in range(n):
+        for i in range(j):
+            p = field.cross(vecs[i], vecs[j])
+            lead = _lead(p)
+            if lead is None:
+                raise ValidationError(f"lines {i} and {j} are equal")
+            leads.add(lead)
+            if j in met[i]:
+                continue
+            point = [i, j]
+            for k in range(j + 1, n):
+                if k not in met[i] and not any(field.dot(p, vecs[k])):
+                    point.append(k)
+            for line in point:
+                met[line].update(point)
+            points.append(point)
+    # Every equal pair is reported before any zero divisor on a point.
+    for lead in leads:
+        field.check_unit(lead)
+    return _as_combinatorics(n, sorted(points))
 
 
 def parse_equations(text: bytes | str):

@@ -98,9 +98,9 @@ def ordering_from_doc(raw, g: DecoratedGraph) -> GraphOrdering:
     rows = list(g.neighbours)
     for label, names in raw["order"].items():
         v = g.vertex_by_label(label)
-        if not isinstance(names, list):
+        if not isinstance(names, list) or not all(isinstance(w, str) for w in names):
             raise ValueError("ordering at %s must be a list of labels" % label)
-        rows[v] = tuple(g.vertex_by_label(str(w)) for w in names)
+        rows[v] = tuple(g.vertex_by_label(w) for w in names)
     return GraphOrdering(g, tuple(rows))
 
 

@@ -269,6 +269,42 @@ def test_pi1_with_ordering_file(tmp_path):
     assert json.loads(result.stdout)["result"]["abelianisation"] == "Z^20"
 
 
+def _ordering_argv(tmp_path, command, order):
+    """Arguments that hand {"order": order} to a command: as an ordering
+    file to transition and pi1, embedded in an inclusion file to reduce."""
+    doc = {"order": order}
+    path = tmp_path / "ord.json"
+    if command == "reduce":
+        g = reduced_graph(maclane())
+        return ["reduce", MACLANE, write_incl(path, g, zero_matrix(g), ordering=doc)]
+    path.write_text(json.dumps(doc))
+    if command == "pi1":
+        return ["pi1", MACLANE, "--ordering", str(path)]
+    return ["transition", MACLANE, str(path), str(path)]
+
+
+def _l0_row_with(label):
+    g = reduced_graph(maclane())
+    row = [g.labels[w] for w in g.neighbours[0]]
+    row[1] = label
+    return row
+
+
+@pytest.mark.parametrize("command", ["transition", "pi1", "reduce"])
+@pytest.mark.parametrize("label", [None, 0, ["L1"]], ids=["null", "zero", "list"])
+def test_ordering_label_that_is_no_string_is_malformed(tmp_path, capsys, command, label):
+    argv = _ordering_argv(tmp_path, command, {"L0": _l0_row_with(label)})
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: ordering at L0 must be a list of labels\n"
+
+
+@pytest.mark.parametrize("command", ["transition", "pi1", "reduce"])
+def test_unknown_ordering_label_is_invalid(tmp_path, capsys, command):
+    argv = _ordering_argv(tmp_path, command, {"L0": _l0_row_with("L99")})
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "invalid: unknown vertex label 'L99'\n"
+
+
 def test_tlg_maclane():
     result = run_cli("tlg", MACLANE, "--json")
     assert result.returncode == 0

@@ -200,6 +200,31 @@ def test_oracle_scaled_field_coefficients():
 
 
 @pytest.mark.parametrize(
+    "lines, minpoly",
+    [
+        # w^2 = 1: a lone line that starts with the zero divisor w - 1
+        ([[[-1, 1], [0], [1]]], [-1, 0, 1]),
+        # both lines start with 1, but they meet at (1 - w : 1 : 0)
+        ([[[0], [0], [1]], [[1], [-1, 1], [0]]], [-1, 0, 1]),
+        # w^2 = 0: line 2 passes through (0 : 0 : 1), where lines 0 and 1
+        # meet, but its own meet with line 0 is (0 : 0 : w)
+        ([[[1], [0], [0]], [[0], [1], [0]], [[1], [0, 1], [0]]], [0, 0, 1]),
+    ],
+    ids=["line", "point", "point-off-first-pair"],
+)
+def test_oracle_rejects_zero_divisors(lines, minpoly):
+    with pytest.raises(ValidationError, match="reducible"):
+        intersect_equations(lines, minpoly)
+
+
+def test_oracle_checks_only_the_leading_coordinates():
+    # w^2 = 1 is reducible, yet x, y, z meet at units only
+    triangle = [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]]
+    c = intersect_equations(triangle, [-1, 0, 1])
+    assert c.points == ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"minpoly": [1, 0, 1], "lines": 5},
