@@ -9,21 +9,21 @@ which intersection points.  Two graphs are built from it:
 * the full graph: one vertex per line and per point (any multiplicity), with
   line-point edges only and no decorations.
 
-This module also hosts the exact projective-geometry oracle
-intersect_equations(), which recovers a combinatorics from line equations
-with coefficients in a number field Q[w]/(minpoly), minpoly irreducible
-over Q.  Three lines are concurrent iff the determinant of their equations
-vanishes, so the oracle uses ring arithmetic only, plus one unit check: a
-zero divisor on a line or an intersection point means minpoly is reducible.
+This module also hosts the exact oracle intersect_equations(), which
+recovers a combinatorics from line equations over Q[w]/(minpoly), minpoly
+irreducible over Q, not necessarily monic.  It computes on unreduced
+polynomials in Z[w]: three lines are concurrent iff the pseudo-remainder
+of their determinant by minpoly is zero, and a unit check rejects the zero
+divisors of a reducible minpoly on a line or an intersection point.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -35,16 +35,26 @@ class NotSupportedError(ValueError):
     """Valid input outside the supported family (e.g. disconnected graph)."""
 
 
-def load_json(text: bytes | str):
-    """Decode a JSON document; bytes are read as UTF-8.
+def _unique_keys(pairs) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in doc if keys.count(key) > 1)
+        raise ValueError(f"JSON object repeats the key {repeated!r}")
+    return doc
 
-    A document nested too deeply for the decoder raises ValueError, like
-    any other malformed document, instead of RecursionError.
-    """
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def load_json(text: bytes | str):
+    """Decode a JSON document (bytes as UTF-8).  Nesting too deep, a key
+    repeated in one object, NaN and ±Infinity raise ValueError."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
     except RecursionError:
         raise ValueError("JSON document is nested too deeply") from None
 
@@ -292,56 +302,8 @@ def euler_number(g: DecoratedGraph, v: int) -> int:
 # ----------------------------------------------------------------------------
 
 
-class NumberField:
-    """Q[w] / (minpoly), with elements as tuples of rationals.
-
-    minpoly lists integer coefficients in ascending powers of w; it need not
-    be monic.  Use [0, 1] (the polynomial w) for plain rational arithmetic.
-    It offers ring operations only, plus check_unit, which tells a unit
-    from a zero divisor.
-    """
-
-    def __init__(self, minpoly: Sequence[int]):
-        coeffs = [Fraction(c) for c in minpoly]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) < 2:
-            raise ValidationError("minimal polynomial must have degree >= 1")
-        self.minpoly = tuple(coeffs)
-        self.degree = len(self.minpoly) - 1
-
-    def element(self, poly: Sequence) -> tuple:
-        """The element represented by a polynomial, ascending in powers of w."""
-        return tuple(_poly_rem(list(poly) + [0] * self.degree, self.minpoly))
-
-    def cross(self, a, b):
-        """a × b: the point on lines a and b, zero iff they are proportional."""
-        return tuple(
-            self.element(
-                [x - y for x, y in zip(_poly_mul(a[i], b[j]), _poly_mul(a[j], b[i]))]
-            )
-            for i, j in ((1, 2), (2, 0), (0, 1))
-        )
-
-    def dot(self, a, b):
-        """a · b, reduced once: zero iff point a lies on line b."""
-        return self.element([sum(c) for c in zip(*map(_poly_mul, a, b))])
-
-    def check_unit(self, a) -> None:
-        """Raise ValidationError if a is a zero divisor: gcd(minpoly, a) ≠ 1."""
-        r0, r1 = self.minpoly, [Fraction(c) for c in a]
-        while any(r1):
-            while not r1[-1]:
-                r1.pop()
-            r0, r1 = r1, _poly_rem(r0, r1)
-        if len(r0) > 1:
-            raise ValidationError(
-                "minimal polynomial is reducible: zero divisor encountered"
-            )
-
-
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -350,20 +312,45 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_rem(a, m):
-    """a mod m, as len(m) - 1 coefficients; m's last coefficient is nonzero."""
+def _prem(a, m):
+    """Pseudo-remainder of a by m in Z[w] (m's last coefficient nonzero),
+    divided by its content and trimmed: empty iff m divides a over Q."""
     a = list(a)
-    for k in range(len(a) - len(m), -1, -1):
-        c = a[k + len(m) - 1] / m[-1]
+    while a and (len(a) >= len(m) or not a[-1]):
+        c = a.pop()
         if c:
-            for i, x in enumerate(m):
-                a[k + i] -= c * x
-    return a[: len(m) - 1]
+            a = [m[-1] * x for x in a]
+            for i, x in enumerate(m[:-1], len(a) - len(m) + 1):
+                a[i] -= c * x
+    content = math.gcd(*a) or 1
+    return [x // content for x in a]
 
 
-def _lead(vec):
-    """The first nonzero coordinate of a projective vector, or None."""
-    return next((c for c in vec if any(c)), None)
+def _cross(a, b):
+    """a × b, coordinates of one length: the point on lines a and b, ≡ 0 iff a ∝ b."""
+    return tuple(
+        [x - y for x, y in zip(_poly_mul(a[i], b[j]), _poly_mul(a[j], b[i]))]
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    )
+
+
+def _dot(a, b):
+    """a · b, a's and b's coordinates of one length: ≡ 0 iff point a is on line b."""
+    return [sum(c) for c in zip(*map(_poly_mul, a, b))]
+
+
+def _lead(vec, m):
+    """The first coordinate of vec that is nonzero modulo m, or None."""
+    return next((c for c in vec if _prem(c, m)), None)
+
+
+def _check_unit(a, m) -> None:
+    """Raise ValidationError unless gcd(m, a) = 1 in Q[w] (Euclid on pseudo-remainders)."""
+    r0, r1 = m, _prem(a, m)
+    while r1:
+        r0, r1 = r1, _prem(r0, r1)
+    if len(r0) > 1:
+        raise ValidationError("minimal polynomial is reducible: zero divisor encountered")
 
 
 def _is_int_list(x) -> bool:
@@ -393,24 +380,29 @@ def intersect_equations(
 ) -> LineCombinatorics:
     """Combinatorics of an arrangement given exact projective line equations.
 
-    Each line is three coefficient vectors (for x, y, z), each a list of
-    integer coefficients in ascending powers of w, where w is a root of
-    minpoly.  Lines i and j meet at p = L_i × L_j, and line k passes through
-    p iff p · L_k = 0.  A point is found once, at its first pair (i, j), by
+    Each line is three coefficient vectors (for x, y, z), lists of integer
+    coefficients of any length, ascending in powers of w, a root of minpoly.
+    Lines i and j meet at p = L_i × L_j, and line k passes through p iff
+    p · L_k = 0.  A point is found once, at its first pair (i, j), by
     testing the lines k > j whose pair (i, k) is on no point yet; the
     returned points are sorted lexicographically.  A zero divisor as the
     first nonzero coordinate of a line or of some L_i × L_j raises
     ValidationError: minpoly must be irreducible over Q.
     """
     _check_equation_shapes(lines, minpoly)
-    field = NumberField(minpoly)
+    m = list(minpoly)
+    while m and not m[-1]:
+        m.pop()
+    if len(m) < 2:
+        raise ValidationError("minimal polynomial must have degree >= 1")
+    width = max([len(c) for line in lines for c in line], default=1)
     vecs = []
     for idx, line in enumerate(lines):
-        vec = tuple(field.element(c) for c in line)
-        lead = _lead(vec)
+        vec = tuple(list(c) + [0] * (width - len(c)) for c in line)
+        lead = _lead(vec, m)
         if lead is None:
             raise ValidationError(f"line {idx} has all-zero coefficients")
-        field.check_unit(lead)
+        _check_unit(lead, m)
         vecs.append(vec)
 
     n = len(vecs)
@@ -419,23 +411,23 @@ def intersect_equations(
     leads = set()
     for j in range(n):
         for i in range(j):
-            p = field.cross(vecs[i], vecs[j])
-            lead = _lead(p)
+            p = _cross(vecs[i], vecs[j])
+            lead = _lead(p, m)
             if lead is None:
                 raise ValidationError(f"lines {i} and {j} are equal")
-            leads.add(lead)
+            leads.add(tuple(lead))
             if j in met[i]:
                 continue
             point = [i, j]
             for k in range(j + 1, n):
-                if k not in met[i] and not any(field.dot(p, vecs[k])):
+                if k not in met[i] and not _prem(_dot(p, vecs[k]), m):
                     point.append(k)
             for line in point:
                 met[line].update(point)
             points.append(point)
     # Every equal pair is reported before any zero divisor on a point.
     for lead in leads:
-        field.check_unit(lead)
+        _check_unit(lead, m)
     return _as_combinatorics(n, sorted(points))
 
 

@@ -305,6 +305,56 @@ def test_unknown_ordering_label_is_invalid(tmp_path, capsys, command):
     assert capsys.readouterr().err == "invalid: unknown vertex label 'L99'\n"
 
 
+def _maclane_file(kind):
+    """A valid file of each kind that the CLI reads, for MacLane's reduced graph."""
+    g = reduced_graph(maclane())
+    order = {"order": {g.labels[v]: [g.labels[w] for w in g.neighbours[v]]
+                       for v in range(g.vertex_count)}}
+    if kind == "combinatorics":
+        return {"n_lines": 8, "points": [list(p) for p in maclane().points]}
+    if kind == "ordering":
+        return order
+    matrix = zero_matrix(g)
+    return {"cycles": len(matrix), "matrix": matrix, "basis": BASIS_TAG, "ordering": order}
+
+
+@pytest.mark.parametrize("kind, key, argv", [
+    ("combinatorics", "n_lines", ["validate", "{}"]),
+    ("ordering", "order", ["transition", MACLANE, "{}", "{}"]),
+    ("ordering", "L0", ["pi1", MACLANE, "--ordering", "{}"]),
+    ("inclusion", "cycles", ["reduce", MACLANE, "{}"]),
+    ("inclusion", "L0", ["reduce", MACLANE, "{}"]),  # in the embedded ordering
+], ids=["combinatorics", "ordering", "ordering-label", "inclusion", "inclusion-ordering"])
+@pytest.mark.parametrize("flaw", ["repeat", "NaN", "Infinity", "-Infinity"])
+def test_repeated_keys_and_non_json_constants_are_parse_errors(tmp_path, capsys, kind, key,
+                                                               argv, flaw):
+    path = tmp_path / "flawed.json"
+    text = json.dumps(_maclane_file(kind))
+    path.write_text(text)
+    argv = [str(path) if a == "{}" else a for a in argv]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    member = '"%s": ' % key
+    if flaw == "repeat":
+        spliced, message = member + "0, " + member, "JSON object repeats the key %r" % key
+    else:
+        spliced, message = '"note": %s, ' % flaw + member, "%s is not a JSON number" % flaw
+    path.write_text(text.replace(member, spliced, 1))
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_for_a_number_is_a_parse_error(tmp_path, constant):
+    path = tmp_path / "comb.json"
+    path.write_text('{"n_lines": %s, "points": [[0, 1], [0, 2], [1, 2]]}' % constant)
+    result = run_cli("validate", str(path))
+    assert result.returncode == 1
+    assert result.stderr == "error: %s is not a JSON number\n" % constant
+
+
 def test_tlg_maclane():
     result = run_cli("tlg", MACLANE, "--json")
     assert result.returncode == 0

@@ -1,12 +1,16 @@
 """Tests for combinatorics parsing, graph construction and the equation oracle."""
 
+import itertools
 import json
+import random
 
 import pytest
+import sympy
 
 from linestab import datasets
 from linestab.combinatorics import (
     GraphKind,
+    LineCombinatorics,
     NotSupportedError,
     ValidationError,
     build_graph,
@@ -15,7 +19,7 @@ from linestab.combinatorics import (
     parse_combinatorics,
     parse_equations,
 )
-from linestab.inclusion import parse_inclusion
+from linestab.inclusion import BASIS_TAG, parse_inclusion
 from linestab.orderings import parse_ordering
 
 
@@ -209,8 +213,11 @@ def test_oracle_scaled_field_coefficients():
         # w^2 = 0: line 2 passes through (0 : 0 : 1), where lines 0 and 1
         # meet, but its own meet with line 0 is (0 : 0 : w)
         ([[[1], [0], [0]], [[0], [1], [0]], [[1], [0, 1], [0]]], [0, 0, 1]),
+        # 4w^2 - 1 = (2w - 1)(2w + 1), not monic: a line that starts with
+        # 2w + 1 written as a polynomial of degree 3
+        ([[[1, 1, 0, 4], [1], [0]]], [-1, 0, 4]),
     ],
-    ids=["line", "point", "point-off-first-pair"],
+    ids=["line", "point", "point-off-first-pair", "non-monic-line"],
 )
 def test_oracle_rejects_zero_divisors(lines, minpoly):
     with pytest.raises(ValidationError, match="reducible"):
@@ -222,6 +229,108 @@ def test_oracle_checks_only_the_leading_coordinates():
     triangle = [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]]
     c = intersect_equations(triangle, [-1, 0, 1])
     assert c.points == ((0, 1), (0, 2), (1, 2))
+
+
+W = sympy.Symbol("w")
+
+
+def reference_combinatorics(lines, minpoly):
+    """The combinatorics by sympy, or None if a line is zero or two are equal.
+
+    Lines i, j and k are concurrent iff det(L_i, L_j, L_k) is zero modulo
+    minpoly; a line is zero, and two lines are equal, iff the determinants
+    they make with the coordinate axes all vanish.
+    """
+    def poly(c):
+        return sympy.Poly(c[::-1] or [0], W, domain=sympy.QQ)
+
+    rows = [[poly(c) for c in line] for line in lines]
+    m = poly(minpoly)
+    axes = [[poly([int(i == j)]) for j in range(3)] for i in range(3)]
+
+    def vanishes(*three):
+        (a, b, c), (d, e, f), (g, h, i) = three
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return sympy.rem(det, m).is_zero
+
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+    if any(all(vanishes(r, a, b) for a, b in itertools.combinations(axes, 2)) for r in rows):
+        return None
+    if any(all(vanishes(rows[i], rows[j], a) for a in axes) for i, j in pairs):
+        return None
+    points = {
+        tuple(k for k in range(len(rows)) if k in (i, j) or vanishes(rows[i], rows[j], rows[k]))
+        for i, j in pairs
+    }
+    return LineCombinatorics(len(rows), tuple(sorted(points)))
+
+
+def random_lines(rng, minpoly, n):
+    """n lines over Z[w] with coefficient lists of mixed lengths, up to degree
+    deg(minpoly) + 2; some are w^e · L_a + t · L_b for earlier lines a and b,
+    so that they pass through the meet of a and b."""
+    lines = []
+    for _ in range(n):
+        if len(lines) >= 2 and rng.random() < 0.4:
+            a, b = rng.sample(lines, 2)
+            e, t = rng.randint(0, 2), rng.choice([-2, -1, 1, 3])
+            lines.append([
+                [x + t * y for x, y in itertools.zip_longest([0] * e + u, v, fillvalue=0)]
+                for u, v in zip(a, b)
+            ])
+        else:
+            lines.append([
+                [rng.randint(-2, 2) for _ in range(rng.randint(0, len(minpoly) + 2))]
+                for _ in range(3)
+            ])
+    return lines
+
+
+@pytest.mark.parametrize(
+    "minpoly", [[1, 1, 1], [1, 3, 4, 2, 1], [1, 1, 2], [-2, 0, 3]],
+    ids=["w2+w+1", "quartic", "non-monic-2w2", "non-monic-3w2"],
+)
+def test_oracle_matches_a_sympy_reference(minpoly):
+    rng = random.Random("reference/%s" % minpoly)
+    concurrent = 0
+    for _ in range(8):
+        lines = random_lines(rng, minpoly, 6)
+        expected = reference_combinatorics(lines, minpoly)
+        if expected is None:
+            with pytest.raises(ValidationError, match="equal|all-zero"):
+                intersect_equations(lines, minpoly)
+        else:
+            assert intersect_equations(lines, minpoly) == expected
+            concurrent += any(len(p) > 2 for p in expected.points)
+    assert concurrent
+
+
+def ceva(n):
+    """Ceva(n) over Q(ζ), ζ a root of the cyclotomic polynomial Φ_n: the
+    lines x - ζ^i y, then y - ζ^i z, then z - ζ^i x, with ζ^i written as the
+    unreduced power w^i; and its combinatorics, the n^2 triple points
+    {a, n + b, 2n + c} with a + b + c = 0 mod n and three n-fold points."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, W)).all_coeffs()[::-1]
+    minus = [[0] * i + [-1] for i in range(n)]
+    lines = (
+        [[[1], minus[i], []] for i in range(n)]
+        + [[[], [1], minus[i]] for i in range(n)]
+        + [[minus[i], [], [1]] for i in range(n)]
+    )
+    triples = [
+        (a, n + b, 2 * n + c)
+        for a, b, c in itertools.product(range(n), repeat=3)
+        if (a + b + c) % n == 0
+    ]
+    pencils = [tuple(range(k * n, (k + 1) * n)) for k in range(3)]
+    return lines, [int(c) for c in phi], LineCombinatorics(3 * n, tuple(sorted(triples + pencils)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_oracle_recovers_ceva(n):
+    lines, minpoly, expected = ceva(n)
+    assert len(expected.points) == n * n + 3
+    assert intersect_equations(lines, minpoly) == expected
 
 
 @pytest.mark.parametrize(
@@ -270,4 +379,44 @@ def _k4():
 def test_deeply_nested_json_is_a_value_error(parse, text):
     with pytest.raises(ValueError, match="nested too deeply") as info:
         parse(text)
+    assert type(info.value) is ValueError
+
+
+K4_ORDER = {"order": {"L%d" % i: ["L%d" % j for j in range(4) if j != i] for i in range(4)}}
+STRICT_DOCS = {
+    "combinatorics": ({"n_lines": 3, "points": [[0, 1], [0, 2], [1, 2]]}, parse_combinatorics),
+    "equations": (
+        {"minpoly": [1, 1, 1], "lines": [[[1], [0], [0]], [[0], [1], [0]]]}, parse_equations
+    ),
+    "ordering": (K4_ORDER, lambda text: parse_ordering(text, _k4())),
+    "inclusion": (
+        {"cycles": 3, "matrix": [[0] * 4] * 3, "basis": BASIS_TAG, "ordering": K4_ORDER},
+        lambda text: parse_inclusion(text, _k4()),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("combinatorics", "n_lines"),
+        ("equations", "lines"),
+        ("ordering", "order"),
+        ("ordering", "L0"),
+        ("inclusion", "cycles"),
+        ("inclusion", "L0"),  # in the embedded ordering
+    ],
+)
+@pytest.mark.parametrize("flaw", ["repeat", "NaN", "Infinity", "-Infinity"])
+def test_repeated_keys_and_non_json_constants_are_value_errors(kind, key, flaw):
+    doc, parse = STRICT_DOCS[kind]
+    text = json.dumps(doc)
+    parse(text)
+    member = '"%s": ' % key
+    if flaw == "repeat":
+        spliced, message = member + "0, " + member, "repeats the key %r" % key
+    else:
+        spliced, message = '"note": %s, ' % flaw + member, "%s is not a JSON number" % flaw
+    with pytest.raises(ValueError, match=message) as info:
+        parse(text.replace(member, spliced, 1))
     assert type(info.value) is ValueError

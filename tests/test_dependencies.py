@@ -7,8 +7,9 @@ import sys
 import linestab
 
 
-def test_package_imports_only_the_standard_library():
-    sources = sorted(pathlib.Path(linestab.__file__).parent.glob("*.py"))
+def imported_modules():
+    """(file name, top-level module) for every absolute import in the package."""
+    sources = sorted(pathlib.Path(linestab.__file__).parent.rglob("*.py"))
     assert sources
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -19,5 +20,15 @@ def test_package_imports_only_the_standard_library():
             else:
                 continue
             for name in names:
-                top = name.partition(".")[0]
-                assert top in sys.stdlib_module_names or top == "linestab", (path.name, name)
+                yield path.name, name.partition(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    for source, top in imported_modules():
+        assert top in sys.stdlib_module_names or top == "linestab", (source, top)
+
+
+def test_package_computes_over_integers_only():
+    """Exact rationals and decimals have no place in an integer pipeline."""
+    for source, top in imported_modules():
+        assert top not in ("fractions", "decimal"), (source, top)
