@@ -16,6 +16,9 @@ Conventions, used package-wide:
   either uses.  A row swap moves one list slot, a column swap a
   permutation entry.  from_entries is the checked way in; the package's
   own producers build through the unchecked _from_rows.
+* Hermite in two passes.  _echelon runs Euclid column by column and
+  leaves the entries above each pivot as they fall; hermite then finishes
+  the rows bottom-up, each by the rows below it, which are final already.
 * Column log.  The column transform v is never stored.  The engine logs
   each column operation; a row vector is mapped through v (or v^-1) by
   replaying the log forward (or backward), and columns of v (to_smith) by
@@ -23,8 +26,9 @@ Conventions, used package-wide:
 * Quotients.  Smith serves group quotients and hermite serves lattices.
   quotient_group runs the engine on the relations as given, because
   reduce() and lift() speak its coordinates; quotient_type needs only the
-  invariants, so it runs the engine on hermite(relations): the same
-  lattice, in echelon form, where the engine has little left to do.
+  invariants, so it runs the engine on the rows of _echelon(relations),
+  hermite's first pass: the same lattice, in echelon form, where the
+  engine has little left to do, and no finishing pass is paid for.
 * Determinism.  Smith pivots are entries of least |value|, ties to the
   lowest current row, then column, position; hermite's Euclid pivot is the
   row of least |value|, then the shorter row, then the earlier row.
@@ -364,15 +368,13 @@ def smith(mat: IntMatrix) -> SmithDecomposition:
 # ----------------------------------------------------------------------------
 
 
-def hermite(mat: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form with zero rows dropped.
-
-    Pivots are positive, sit on strictly increasing columns, and every entry
-    above a pivot is reduced into [0, pivot).  The row span is unchanged, so
-    this is the canonical basis of the lattice spanned by mat's rows.
-    """
+def _echelon(mat: IntMatrix) -> list[tuple[int, dict[int, int]]]:
+    """Row echelon form of mat's rows as (pivot column, row) pairs, pivot
+    columns strictly increasing, pivots positive, zero rows dropped.  The
+    row span is unchanged; entries above a pivot are left as Euclid left
+    them.  Row keys are in no particular order."""
     rest = [row for row in _sparse_rows(mat) if row]
-    done: list[dict[int, int]] = []
+    done: list[tuple[int, dict[int, int]]] = []
     for j in range(mat.cols):
         holders = [row for row in rest if j in row]
         if not holders:
@@ -389,14 +391,36 @@ def hermite(mat: IntMatrix) -> IntMatrix:
         if pivot[j] < 0:
             for k in pivot:
                 pivot[k] = -pivot[k]
-        p = pivot[j]
-        for row in done:
-            q = row.get(j, 0) // p
-            if q:
-                _axpy(row, -q, pivot)
-        done.append(pivot)
+        done.append((j, pivot))
         rest = [row for row in rest if row and row is not pivot]
-    return IntMatrix._from_rows(done, mat.cols)
+    return done
+
+
+def hermite(mat: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form with zero rows dropped.
+
+    Pivots are positive, sit on strictly increasing columns, and every entry
+    above a pivot is reduced into [0, pivot).  The row span is unchanged, so
+    this is the canonical basis of the lattice spanned by mat's rows.
+
+    Two passes: _echelon, then the rows are finished bottom-up, each one by
+    the rows below it, which are final already.  A final row is zero at the
+    column of every other unit pivot, so a row can pick up new entries only
+    at non-unit pivot columns: the columns it must visit are its own keys
+    that are pivot columns, plus those.
+    """
+    pivots = _echelon(mat)
+    row_at = dict(pivots)
+    non_unit = [j for j, row in pivots if row[j] != 1]
+    for j, row in reversed(pivots):
+        todo = {k for k in row if k > j and k in row_at}
+        todo.update(k for k in non_unit if k > j)
+        for k in sorted(todo):
+            below = row_at[k]
+            q = row.get(k, 0) // below[k]
+            if q:
+                _axpy(row, -q, below)
+    return IntMatrix._from_rows(row_at.values(), mat.cols)
 
 
 def lattice_members(basis: IntMatrix, vectors: Iterable[Sequence[int]]) -> list[bool]:
@@ -546,12 +570,16 @@ class AbelianGroup:
         return f"AbelianGroup({self})"
 
 
-def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
-    """The abelian group Z^ambient_rank / rowspan(relations)."""
+def _check_ambient_rank(ambient_rank: int, relations: IntMatrix) -> None:
     if relations.cols != ambient_rank:
         raise ValueError(
             f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
         )
+
+
+def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
+    """The abelian group Z^ambient_rank / rowspan(relations)."""
+    _check_ambient_rank(ambient_rank, relations)
     n = ambient_rank
     diag, _, ops, col_at = _smith_engine(_sparse_rows(relations), n, want_u=False)
     diagonal = diag + [0] * (n - len(diag))
@@ -561,12 +589,15 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
 
 
 def quotient_type(ambient_rank: int, relations: IntMatrix) -> str:
-    """str(quotient_group(ambient_rank, relations)), read off the Hermite form.
+    """str(quotient_group(ambient_rank, relations)), read off an echelon form.
 
-    hermite(relations) spans the same lattice, and the Smith invariants
-    depend on the lattice only, so the group type is the same; the engine
-    on the Hermite rows is much cheaper than on the raw relations.  Its
-    coordinates differ from quotient_group's and are never exposed: only the
-    string leaves this function.
+    The rows of _echelon(relations), hermite's first pass, span the same
+    lattice, and the Smith invariants depend on the lattice only, so the
+    group type is the same.  The echelon is all Euclid and no finishing,
+    and the engine on it is much cheaper than on the raw relations.  Its
+    coordinates differ from quotient_group's and are never exposed: only
+    the string leaves this function.
     """
-    return str(quotient_group(ambient_rank, hermite(relations)))
+    _check_ambient_rank(ambient_rank, relations)
+    echelon = IntMatrix._from_rows((row for _, row in _echelon(relations)), relations.cols)
+    return str(quotient_group(ambient_rank, echelon))

@@ -1,5 +1,6 @@
 """Tests for the exact integer linear algebra core."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,7 +8,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from linestab import datasets, looplink
+from linestab import datasets, exactalg, looplink
 from linestab.combinatorics import GraphKind, LineCombinatorics, build_graph
 from linestab.exactalg import (
     IntMatrix,
@@ -166,9 +167,10 @@ def stabiliser_inputs(c, kind):
 
 
 def test_quotient_type_is_the_quotient_group_string():
-    """quotient_type reads the group off the Hermite form; it must print
-    exactly what quotient_group prints for the relations as given.  A
-    Hermite form missing a row, or a wrong lattice, prints another group."""
+    """quotient_type reads the group off the echelon form that is hermite's
+    first pass, not the finished Hermite form; it must print exactly what
+    quotient_group prints for the relations as given.  An echelon form
+    missing a row, or a wrong lattice, prints another group."""
     rng = random.Random(1313)
     cases = [
         stabiliser_inputs(getattr(datasets, name)(), kind)
@@ -202,6 +204,17 @@ def test_quotient_type_is_the_quotient_group_string():
     assert types[-6:] == ["Z^3", "0", "0", "0", "0", "Z^4"]
     with pytest.raises(ValueError, match="ambient rank"):
         quotient_type(3, IntMatrix([[1, 2]]))
+
+
+def test_quotient_type_checks_the_shape_before_eliminating(monkeypatch):
+    def eliminate(mat):
+        raise AssertionError("elimination reached")
+
+    monkeypatch.setattr(exactalg, "_echelon", eliminate)
+    with pytest.raises(ValueError, match=r"^relations have 2 columns, ambient rank is 3$"):
+        quotient_type(3, IntMatrix([[1, 2]]))
+    with pytest.raises(AssertionError, match="elimination reached"):
+        quotient_type(2, IntMatrix([[1, 2]]))
 
 
 def test_quotient_row_shuffle_invariance():
@@ -316,17 +329,65 @@ def test_hermite_random_against_sympy():
         if a.is_zero():
             assert h.rows == 0
             continue
-        canonical_in = hermite_normal_form(sympy.Matrix(a.to_lists()).T).T
-        canonical_out = hermite_normal_form(sympy.Matrix(h.to_lists()).T).T
-        assert canonical_in == canonical_out
-        last_pivot = -1
-        for row in h.data:
-            j = next(k for k, v in enumerate(row) if v)
-            assert j > last_pivot
-            assert row[j] > 0
-            for above in h.data[: h.data.index(row)]:
-                assert 0 <= above[j] < row[j]
-            last_pivot = j
+        assert_hermite_of(a, h)
+
+
+def assert_hermite_of(a, h):
+    """h spans a's rows (checked through sympy's canonical form) and has
+    the row-style Hermite shape, which together pin it: pivots positive on
+    strictly increasing columns, entries above each pivot in [0, pivot)."""
+    canonical_in = hermite_normal_form(sympy.Matrix(a.to_lists()).T).T
+    canonical_out = hermite_normal_form(sympy.Matrix(h.to_lists()).T).T
+    assert canonical_in == canonical_out
+    last_pivot = -1
+    for row in h.data:
+        j = next(k for k, v in enumerate(row) if v)
+        assert j > last_pivot
+        assert row[j] > 0
+        for above in h.data[: h.data.index(row)]:
+            assert 0 <= above[j] < row[j]
+        last_pivot = j
+
+
+def mixed_triangular(rng):
+    """8-20 rows whose Hermite form has two or three non-unit pivots with
+    unit pivots between them: an echelon matrix with chosen pivots, plus
+    zero rows, mixed by seeded unimodular row operations.  Returns the rows
+    and the (column, pivot) pairs the Hermite form must have."""
+    rank = rng.randint(6, 16)
+    cols = rank + rng.randint(0, 4)
+    pivot_cols = sorted(rng.sample(range(cols), rank))
+    diag = [1] * rank
+    first = rng.randrange(rank - 5)
+    second = rng.randrange(first + 3, rank)  # a third non-unit leaves a unit between
+    for k in (first, second, rng.randrange(rank)):
+        diag[k] = rng.randint(2, 6)
+    rows = []
+    for j, d in zip(pivot_cols, diag):
+        tail = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(cols - j - 1)]
+        rows.append([0] * j + [d] + tail)
+    rows += [[0] * cols for _ in range(rng.randint(2, 4))]
+    for _ in range(3 * len(rows)):
+        i, k = rng.sample(range(len(rows)), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+    rng.shuffle(rows)
+    return rows, list(zip(pivot_cols, diag))
+
+
+def test_hermite_fills_in_at_non_unit_pivots():
+    """Entries above a non-unit pivot are reduced even where the row held
+    nothing before the rows below it were subtracted: the finishing pass
+    must visit every non-unit pivot column, not only a row's own keys.
+    The pivots of any echelon basis are those of the Hermite form, so the
+    chosen ones must come back."""
+    rng = random.Random(1717)
+    for _ in range(30):
+        rows, pivots = mixed_triangular(rng)
+        a = IntMatrix(rows)
+        h = hermite(a)
+        assert [(next(iter(row)), next(iter(row.values()))) for row in h.entries] == pivots
+        assert_hermite_of(a, h)
 
 
 def test_hermite_drops_zero_rows():
@@ -513,6 +574,49 @@ def test_lattice_kernel_depends_on_the_rational_span_only(monkeypatch):
         ]
         for variant in variants:
             assert lattice_kernel(IntMatrix(variant)) == ker
+
+
+# SHA-256 of repr([tuple(row.items()) for row in hermite(m).entries]) for the
+# bundled inputs: stabiliser relations on both graphs, generic(6..12) on the
+# full graph and the forms that tlg hands to lattice_kernel.  The Hermite form
+# is unique, so any correct hermite gives these; they pin a contract, not the
+# transcript of one elimination.
+HNF_DIGESTS = {
+    "maclane-reduced": "ffce99f8a5a57ec74e8c857ca3f45d93430de00dbb1f7a9956ed5ba61f1c9e24",
+    "maclane-full": "ae09b9a145599556e950da64952aa656645575bc7e8b596d8480253921fbfe79",
+    "quadruplet-reduced": "c33dfc0b440a2370d42c094f2b55f3aab78990d870678f9ee1565a1073e0203b",
+    "quadruplet-full": "06a1592e432e5ecc1ac59e15b75716391c5c9bf950f43fa577b3ebac0217b7c7",
+    "rybnikov-reduced": "7d43045691519641d3ed0f6ef62ddca1bf319e63b21db28e5b680d13c235b07a",
+    "rybnikov-full": "a5e1a4feac465bc63b2ce1f0635fbe8c36fd74b8a3d0d16c17f2a1c8c84ebc44",
+    "generic6-full": "529036e799edeea4fa6447bce11f4d3c28489fe310d990b4089d562f46fc3e25",
+    "generic7-full": "ca97737724ed49db8489c14d0538154474f6af05074dacda8ce386fce5221995",
+    "generic8-full": "f41926eba9d538a274f5b858e757cc616d51312a6b9f0607c3aef64c7410bcfd",
+    "generic9-full": "f6b912f5d04e9c0cb3a0baee0dc4c343bd03c9fa9bc9aa5069898e36e534ea1f",
+    "generic10-full": "bc2263b0936610bcd41c9b0d2de915a6500789ae87f6f27ddbb16d6245482e5d",
+    "generic11-full": "36d7a3e398e15dcca320bf263bc49b27c97e7ac01d56dd91fd91df8a273ea2d3",
+    "generic12-full": "eb59ca619791a83bcde8c11e75bba9ad0a489d720b42c320080f3bea2acdfd72",
+    "maclane-tlg-forms": "41e8c5e4b88c2afb85159c22e691825052deba3a1ce252d97b417adaad9cbbe4",
+    "quadruplet-tlg-forms": "a25b2d2a541206ced8616018cf587bf30433edfe93fd67d9a88242ff9c439fdc",
+    "rybnikov-tlg-forms": "fb659d61bd0dda63c5fa7584bf77fe1db48a0f92633c7553af907d4126e0a247",
+}
+
+
+def hnf_input(key, monkeypatch):
+    name, _, kind = key.partition("-")
+    if kind == "tlg-forms":
+        return tlg_forms(name, monkeypatch)
+    if name.startswith("generic"):
+        c = datasets.generic(int(name[len("generic"):]))
+    else:
+        c = getattr(datasets, name)()
+    return stabiliser_inputs(c, GraphKind(kind))[1]
+
+
+@pytest.mark.parametrize("key", list(HNF_DIGESTS))
+def test_bundled_hermite_forms_are_pinned(key, monkeypatch):
+    h = hermite(hnf_input(key, monkeypatch))
+    text = repr([tuple(row.items()) for row in h.entries])
+    assert hashlib.sha256(text.encode()).hexdigest() == HNF_DIGESTS[key]
 
 
 def test_int_matrix_entries_must_be_integers():
