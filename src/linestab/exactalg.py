@@ -17,8 +17,10 @@ Conventions, used package-wide:
   permutation entry.  from_entries is the checked way in; the package's
   own producers build through the unchecked _from_rows.
 * Hermite in two passes.  _echelon runs Euclid column by column and
-  leaves the entries above each pivot as they fall; hermite then finishes
-  the rows bottom-up, each by the rows below it, which are final already.
+  leaves the entries above each pivot as they fall; it finds the rows
+  holding a column through a column index that _axpy keeps up to date,
+  never by a scan of the remaining rows.  hermite then finishes the rows
+  bottom-up, each by the rows below it, which are final already.
 * Column log.  The column transform v is never stored.  The engine logs
   each column operation; a row vector is mapped through v (or v^-1) by
   replaying the log forward (or backward), and columns of v (to_smith) by
@@ -26,9 +28,10 @@ Conventions, used package-wide:
 * Quotients.  Smith serves group quotients and hermite serves lattices.
   quotient_group runs the engine on the relations as given, because
   reduce() and lift() speak its coordinates; quotient_type needs only the
-  invariants, so it runs the engine on the rows of _echelon(relations),
-  hermite's first pass: the same lattice, in echelon form, where the
-  engine has little left to do, and no finishing pass is paid for.
+  invariants, so it takes _echelon(relations), hermite's first pass, and
+  splits it at the unit pivots: a unit row and its pivot column leave the
+  quotient together, and the engine runs only on the rows with a non-unit
+  pivot, cleared of the unit columns.  No finishing pass is paid for.
 * Determinism.  Smith pivots are entries of least |value|, ties to the
   lowest current row, then column, position; hermite's Euclid pivot is the
   row of least |value|, then the shorter row, then the earlier row.
@@ -180,14 +183,22 @@ class SmithDecomposition:
     v: IntMatrix
 
 
-def _axpy(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
-    """dst += q * src on sparse rows, dropping entries that cancel."""
+def _axpy(dst: dict[int, int], q: int, src: dict[int, int], where=None, at: int = 0) -> None:
+    """dst += q * src on sparse rows, dropping entries that cancel; q != 0.
+    With a column index where, at (dst's position) is appended to where[k]
+    for each column k that dst newly fills."""
     for k, z in src.items():
-        y = dst.get(k, 0) + q * z
-        if y:
-            dst[k] = y
+        y = dst.get(k)
+        if y is None:
+            dst[k] = q * z
+            if where is not None:
+                where[k].append(at)
         else:
-            del dst[k]
+            y += q * z
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
 
 
 def _sparse_rows(mat: IntMatrix) -> list[dict[int, int]]:
@@ -372,27 +383,40 @@ def _echelon(mat: IntMatrix) -> list[tuple[int, dict[int, int]]]:
     """Row echelon form of mat's rows as (pivot column, row) pairs, pivot
     columns strictly increasing, pivots positive, zero rows dropped.  The
     row span is unchanged; entries above a pivot are left as Euclid left
-    them.  Row keys are in no particular order."""
-    rest = [row for row in _sparse_rows(mat) if row]
+    them.  Row keys are in no particular order.
+
+    where[k] lists the input positions of the rows that have held column
+    k: built once, then _axpy appends a row's position for each column it
+    fills.  A position may repeat, and a row may have lost column k since,
+    so the holders of column j are the listed rows that still hold it; a
+    row that becomes a pivot is retired, and holds nothing from then on.
+    """
+    rows = _sparse_rows(mat)
+    where: list[list[int]] = [[] for _ in range(mat.cols)]
+    for i, row in enumerate(rows):
+        for k in row:
+            where[k].append(i)
     done: list[tuple[int, dict[int, int]]] = []
-    for j in range(mat.cols):
-        holders = [row for row in rest if j in row]
+    for j, held in enumerate(where):
+        holders = [i for i in sorted(set(held)) if j in rows[i]]
         if not holders:
             continue
         # Euclid on column j: the row of least |value| reduces the others.
         while len(holders) > 1:
-            pivot = min(holders, key=lambda row: (abs(row[j]), len(row)))
+            s = min(holders, key=lambda i: (abs(rows[i][j]), len(rows[i])))
+            pivot = rows[s]
             p = pivot[j]
-            for row in holders:
-                if row is not pivot:
-                    _axpy(row, -(row[j] // p), pivot)
-            holders = [row for row in holders if j in row]
-        (pivot,) = holders
+            for i in holders:
+                if i != s:
+                    row = rows[i]
+                    _axpy(row, -(row[j] // p), pivot, where, i)
+            holders = [i for i in holders if j in rows[i]]
+        (s,) = holders
+        pivot, rows[s] = rows[s], {}
         if pivot[j] < 0:
             for k in pivot:
                 pivot[k] = -pivot[k]
         done.append((j, pivot))
-        rest = [row for row in rest if row and row is not pivot]
     return done
 
 
@@ -589,15 +613,32 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
 
 
 def quotient_type(ambient_rank: int, relations: IntMatrix) -> str:
-    """str(quotient_group(ambient_rank, relations)), read off an echelon form.
+    """str(quotient_group(ambient_rank, relations)), read off an echelon form
+    split at its unit pivots.
 
-    The rows of _echelon(relations), hermite's first pass, span the same
-    lattice, and the Smith invariants depend on the lattice only, so the
-    group type is the same.  The echelon is all Euclid and no finishing,
-    and the engine on it is much cheaper than on the raw relations.  Its
-    coordinates differ from quotient_group's and are never exposed: only
-    the string leaves this function.
+    The rows of _echelon(relations) span the same lattice.  A row whose
+    pivot is 1 at column j lets e_j be written through later columns, so
+    it and column j leave the quotient together.  Walking the pivots in
+    ascending order, each unit-pivot column is cleared from the rows with
+    a non-unit pivot (r -= r[j] * row); a unit row has no entry left of
+    its pivot, so no column cleared earlier returns.  The Smith engine
+    then runs only on that residual, cut to the columns that no unit row
+    pivots on.  The Smith invariants depend on the lattice only, so the
+    group type is the same; its coordinates are never exposed.
     """
     _check_ambient_rank(ambient_rank, relations)
-    echelon = IntMatrix._from_rows((row for _, row in _echelon(relations)), relations.cols)
-    return str(quotient_group(ambient_rank, echelon))
+    residual: list[dict[int, int]] = []
+    unit: set[int] = set()
+    for j, row in _echelon(relations):
+        if row[j] != 1:
+            residual.append(row)
+            continue
+        unit.add(j)
+        for r in residual:
+            x = r.get(j)
+            if x:
+                _axpy(r, -x, row)
+    kept = [k for k in range(ambient_rank) if k not in unit]
+    at = {k: s for s, k in enumerate(kept)}
+    cut = ({at[k]: x for k, x in r.items()} for r in residual)
+    return str(quotient_group(len(kept), IntMatrix._from_rows(cut, len(kept))))

@@ -47,6 +47,24 @@ def test_help_exits_zero():
     assert "linestab" in result.stdout
 
 
+def test_package_runs_as_a_module(tmp_path):
+    """`python -m linestab` is the frontend of `python -m linestab.cli`: the
+    same report, messages and exit code, for a success and a usage error."""
+    results = []
+    for args in (("stabiliser", MACLANE, "--json"),
+                 ("validate", str(tmp_path / "missing.json"))):
+        as_package = subprocess.run(
+            [sys.executable, "-m", "linestab", *args], capture_output=True, text=True
+        )
+        expected = run_cli(*args)
+        assert (as_package.returncode, as_package.stdout, as_package.stderr) == (
+            expected.returncode, expected.stdout, expected.stderr)
+        results.append(as_package)
+    report, missing = results
+    assert json.loads(report.stdout)["result"]["group"] == "Z/3 ⊕ Z^35"
+    assert missing.returncode == 1
+
+
 def test_validate_quadruplet():
     result = run_cli("validate", QUADRUPLET)
     assert result.returncode == 0

@@ -305,32 +305,28 @@ def test_oracle_matches_a_sympy_reference(minpoly):
     assert concurrent
 
 
-def ceva(n):
-    """Ceva(n) over Q(ζ), ζ a root of the cyclotomic polynomial Φ_n: the
-    lines x - ζ^i y, then y - ζ^i z, then z - ζ^i x, with ζ^i written as the
-    unreduced power w^i; and its combinatorics, the n^2 triple points
-    {a, n + b, 2n + c} with a + b + c = 0 mod n and three n-fold points."""
-    phi = sympy.Poly(sympy.cyclotomic_poly(n, W)).all_coeffs()[::-1]
-    minus = [[0] * i + [-1] for i in range(n)]
-    lines = (
-        [[[1], minus[i], []] for i in range(n)]
-        + [[[], [1], minus[i]] for i in range(n)]
-        + [[minus[i], [], [1]] for i in range(n)]
-    )
-    triples = [
-        (a, n + b, 2 * n + c)
-        for a, b, c in itertools.product(range(n), repeat=3)
-        if (a + b + c) % n == 0
-    ]
-    pencils = [tuple(range(k * n, (k + 1) * n)) for k in range(3)]
-    return lines, [int(c) for c in phi], LineCombinatorics(3 * n, tuple(sorted(triples + pencils)))
-
-
 @pytest.mark.parametrize("n", range(3, 9))
 def test_oracle_recovers_ceva(n):
-    lines, minpoly, expected = ceva(n)
+    """datasets.ceva_equations(n) meet in datasets.ceva(n): n^2 triple points
+    {a, n + b, 2n + c} with a + b + c = 0 mod n and three n-fold points."""
+    expected = datasets.ceva(n)
     assert len(expected.points) == n * n + 3
-    assert intersect_equations(lines, minpoly) == expected
+    assert sorted(map(len, expected.points)) == [3] * (n * n) + [n] * 3
+    assert intersect_equations(*datasets.ceva_equations(n)) == expected
+
+
+def test_ceva_minpoly_is_the_cyclotomic_polynomial():
+    """The standard-library Φ_n of datasets against sympy's, prime powers
+    and products of several primes included."""
+    for n in range(2, 40):
+        lines, minpoly = datasets.ceva_equations(n)
+        assert len(lines) == 3 * n
+        assert minpoly == [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(n, W)).all_coeffs()[::-1]]
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="n >= 2"):
+            datasets.ceva(n)
+        with pytest.raises(ValueError, match="n >= 2"):
+            datasets.ceva_equations(n)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from linestab.exactalg import (
     quotient_type,
     smith,
 )
+from linestab.exactalg import _axpy, _sparse_rows
 from linestab.stabiliser import stabiliser_relations
 
 from conftest import reduced_graph
@@ -168,9 +169,12 @@ def stabiliser_inputs(c, kind):
 
 def test_quotient_type_is_the_quotient_group_string():
     """quotient_type reads the group off the echelon form that is hermite's
-    first pass, not the finished Hermite form; it must print exactly what
+    first pass, split at its unit pivots; it must print exactly what
     quotient_group prints for the relations as given.  An echelon form
-    missing a row, or a wrong lattice, prints another group."""
+    missing a row, a wrong lattice, or a unit row that is not cleared from
+    the non-unit rows prints another group.  The matrices with two or three
+    chosen non-unit pivots, unit pivots between them, are the split's
+    hardest inputs."""
     rng = random.Random(1313)
     cases = [
         stabiliser_inputs(getattr(datasets, name)(), kind)
@@ -182,6 +186,7 @@ def test_quotient_type_is_the_quotient_group_string():
         for n in range(6, 13)
         for kind in GraphKind
     ]
+    cases += [(len(rows[0]), IntMatrix(rows)) for rows, _ in non_unit_pivot_matrices()]
     cases += [torsion_relations(rng) for _ in range(40)]
     cases += [
         (3, IntMatrix([], cols=3)),
@@ -215,6 +220,40 @@ def test_quotient_type_checks_the_shape_before_eliminating(monkeypatch):
         quotient_type(3, IntMatrix([[1, 2]]))
     with pytest.raises(AssertionError, match="elimination reached"):
         quotient_type(2, IntMatrix([[1, 2]]))
+
+
+def test_quotient_type_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
+    """The unit-pivot split: the Smith engine runs once, on at most one row
+    per non-unit pivot.  Every echelon basis of a lattice has the pivots of
+    its Hermite form, so those are counted there; generic(n) has none."""
+    engine = exactalg._smith_engine
+    rng = random.Random(1818)
+    cases = [
+        stabiliser_inputs(getattr(datasets, name)(), kind)
+        for name in ("maclane", "quadruplet", "rybnikov")
+        for kind in GraphKind
+    ]
+    cases += [stabiliser_inputs(datasets.generic(n), GraphKind.FULL) for n in (6, 9, 12)]
+    cases += [(len(rows[0]), IntMatrix(rows)) for rows, _ in non_unit_pivot_matrices()]
+    cases += [torsion_relations(rng) for _ in range(40)]
+    sizes = []
+    for n, relations in cases:
+        bound = sum(next(iter(row.values())) != 1 for row in hermite(relations).entries)
+        calls = []
+
+        def counted(a, cols, want_u):
+            calls.append(len(a))
+            return engine(a, cols, want_u)
+
+        monkeypatch.setattr(exactalg, "_smith_engine", counted)
+        quotient_type(n, relations)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0] <= bound
+        sizes.append(calls[0])
+    # Non-unit pivots of MacLane, the quadruplet and Rybnikov, reduced then
+    # full, as computed: most relation rows never reach the engine.
+    assert sizes[:6] == [3, 1, 3, 3, 13, 4]
+    assert sizes[6:9] == [0, 0, 0]
 
 
 def test_quotient_row_shuffle_invariance():
@@ -375,15 +414,19 @@ def mixed_triangular(rng):
     return rows, list(zip(pivot_cols, diag))
 
 
+def non_unit_pivot_matrices():
+    """30 seeded mixed_triangular (rows, pivots) pairs."""
+    rng = random.Random(1717)
+    return [mixed_triangular(rng) for _ in range(30)]
+
+
 def test_hermite_fills_in_at_non_unit_pivots():
     """Entries above a non-unit pivot are reduced even where the row held
     nothing before the rows below it were subtracted: the finishing pass
     must visit every non-unit pivot column, not only a row's own keys.
     The pivots of any echelon basis are those of the Hermite form, so the
     chosen ones must come back."""
-    rng = random.Random(1717)
-    for _ in range(30):
-        rows, pivots = mixed_triangular(rng)
+    for rows, pivots in non_unit_pivot_matrices():
         a = IntMatrix(rows)
         h = hermite(a)
         assert [(next(iter(row)), next(iter(row.values()))) for row in h.entries] == pivots
@@ -574,6 +617,91 @@ def test_lattice_kernel_depends_on_the_rational_span_only(monkeypatch):
         ]
         for variant in variants:
             assert lattice_kernel(IntMatrix(variant)) == ker
+
+
+def scan_echelon(mat):
+    """The scan-based _echelon that the column index replaced, verbatim: for
+    each column it scans every remaining row, and it rebuilds the remaining
+    rows at each pivot.  The reference for the indexed one."""
+    rest = [row for row in _sparse_rows(mat) if row]
+    done: list[tuple[int, dict[int, int]]] = []
+    for j in range(mat.cols):
+        holders = [row for row in rest if j in row]
+        if not holders:
+            continue
+        # Euclid on column j: the row of least |value| reduces the others.
+        while len(holders) > 1:
+            pivot = min(holders, key=lambda row: (abs(row[j]), len(row)))
+            p = pivot[j]
+            for row in holders:
+                if row is not pivot:
+                    _axpy(row, -(row[j] // p), pivot)
+            holders = [row for row in holders if j in row]
+        (pivot,) = holders
+        if pivot[j] < 0:
+            for k in pivot:
+                pivot[k] = -pivot[k]
+        done.append((j, pivot))
+        rest = [row for row in rest if row and row is not pivot]
+    return done
+
+
+def echelon_input(rng):
+    """A seeded matrix of 0-14 rows and columns, sparse to dense, with zero
+    rows, duplicated rows, scaled or negated copies and rows with no zero
+    entry mixed in."""
+    rows, cols = rng.randint(0, 14), rng.randint(0, 14)
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    m = [[rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if cols:
+        for _ in range(rng.randint(0, 3)):
+            extra = rng.randrange(4)
+            if extra == 0 or not m:
+                m.append([0] * cols)
+            elif extra == 1:
+                m.append(list(rng.choice(m)))
+            elif extra == 2:
+                c = rng.choice((-3, -1, 2, 5))
+                m.append([c * x for x in rng.choice(m)])
+            else:
+                m.append([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(cols)])
+    rng.shuffle(m)
+    return IntMatrix(m, cols=cols)
+
+
+def echelon_pairs(pairs):
+    """(pivot column, row items) pairs: row key order included."""
+    return [(j, tuple(row.items())) for j, row in pairs]
+
+
+def test_echelon_matches_the_scan_reference(monkeypatch):
+    """The column-indexed _echelon returns exactly the (pivot, row) pairs of
+    the scan that it replaced, row key order included: the index changes
+    how holders are found, not the pivot rule or the _axpy order.  Seeded
+    matrices, the workload matrices of the Hermite pins, the [h^T | I]
+    matrices that lattice_kernel hands to hermite, and Ceva relations.  An
+    index that misses a column a row fills in drops that row from a later
+    column's Euclid step, and the pairs differ."""
+    rng = random.Random(1818)
+    inputs = [echelon_input(rng) for _ in range(3000)]
+    for m in inputs:
+        assert echelon_pairs(exactalg._echelon(m)) == echelon_pairs(scan_echelon(m))
+    nonzero = [[tuple(row.items()) for row in m.entries if row] for m in inputs]
+    assert sum(len(rows) > len(set(rows)) for rows in nonzero) > 300
+    assert sum(not row for m in inputs for row in m.entries) > 500
+    assert sum(len(row) == m.cols >= 8 for m in inputs for row in m.entries) > 500
+
+    bundled = [hnf_input(key, monkeypatch) for key in HNF_DIGESTS]
+    handed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(exactalg, "hermite", lambda m: handed.append(m) or hermite(m))
+        for name in ("maclane", "quadruplet", "rybnikov"):
+            lattice_kernel(tlg_forms(name, monkeypatch))
+    bundled += handed[1::2]
+    bundled += [stabiliser_inputs(datasets.ceva(n), GraphKind.FULL)[1] for n in (3, 4, 5, 6)]
+    for m in bundled:
+        assert echelon_pairs(exactalg._echelon(m)) == echelon_pairs(scan_echelon(m))
 
 
 # SHA-256 of repr([tuple(row.items()) for row in hermite(m).entries]) for the

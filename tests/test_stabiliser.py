@@ -8,13 +8,14 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from linestab import datasets
 from linestab.combinatorics import GraphKind, LineCombinatorics, ValidationError, build_graph
-from linestab.exactalg import IntMatrix, hermite, lattice_members, quotient_group
+from linestab.exactalg import IntMatrix, hermite, lattice_members, quotient_group, quotient_type
 from linestab.orderings import GraphOrdering, canonical_ordering
 from linestab.stabiliser import (
     gs_generators,
     lift_to_chains,
     reduce_to_class,
     stabiliser,
+    stabiliser_relations,
     transition,
 )
 
@@ -296,3 +297,29 @@ def test_transition_cocycle_random(fixture, request):
             transition(s, a, b) + transition(s, b, c)
         ).coords
         assert (transition(s, a, b) + transition(s, b, a)).is_zero
+
+
+# Stabiliser types of Ceva(n), the same on both graphs, as computed.  The
+# torsion Z/n for odd n and Z/(n/2) for even n is an observation, not a
+# theorem, so these are regression goldens.
+CEVA_TYPES = {
+    3: "Z/3 ⊕ Z^59",
+    4: "Z/2 ⊕ Z^176",
+    5: "Z/5 ⊕ Z^386",
+    6: "Z/3 ⊕ Z^718",
+    7: "Z/7 ⊕ Z^1197",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CEVA_TYPES))
+def test_ceva_stabiliser_types_are_pinned(n):
+    """quotient_type on Ceva(n), a family with torsion and points of
+    multiplicity n; for n <= 5 the stabiliser's own quotient, the Smith
+    engine on the raw relations, agrees."""
+    c = datasets.ceva(n)
+    for kind in GraphKind:
+        g = reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
+        basis, mh, relations = stabiliser_relations(g)
+        assert quotient_type(basis.rank * mh.group.coord_count, relations) == CEVA_TYPES[n]
+        if n <= 5:
+            assert str(stabiliser(g).group) == CEVA_TYPES[n]
