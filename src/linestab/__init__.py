@@ -13,7 +13,6 @@ from linestab.exactalg import (
     lattice_kernel,
     lattice_members,
     quotient_group,
-    quotient_type,
     smith,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "lattice_kernel",
     "lattice_members",
     "quotient_group",
-    "quotient_type",
     "smith",
     "__version__",
 ]

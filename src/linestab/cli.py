@@ -34,13 +34,12 @@ from .combinatorics import (
     build_graph,
     parse_combinatorics,
 )
-from .exactalg import quotient_type
 from .graphhomology import cycle_basis, meridian_homology
 from .inclusion import Verdict, compare, invariant, parse_inclusion
 from .looplink import lln, tlg
 from .orderings import canonical_ordering, parse_ordering
 from .pi1 import abelianise, pi1_presentation, presentation_text
-from .stabiliser import stabiliser, stabiliser_relations, transition
+from .stabiliser import stabiliser, transition
 
 __all__ = ["Report", "build_parser", "main"]
 
@@ -81,7 +80,7 @@ def _validate(c) -> tuple:
 
 
 def _graph_info(g) -> tuple:
-    rank = g.edge_count - g.vertex_count + 1
+    rank = g.cycle_rank
     mh = meridian_homology(g)
     return (
         {"graph": g.kind.value, "vertices": g.vertex_count, "edges": g.edge_count,
@@ -94,14 +93,13 @@ def _graph_info(g) -> tuple:
 
 def _stabiliser(g) -> tuple:
     # Only the group type is printed, so no coordinates are built.
-    basis, mh, relations = stabiliser_relations(g)
-    ambient = basis.rank * mh.group.coord_count
-    group = quotient_type(ambient, relations)
+    s = stabiliser(g)
+    group, ambient, relations = str(s.group), s.ambient_rank, s.relations
     return (
         {"graph": g.kind.value, "group": group, "ambient_rank": ambient,
-         "relations": relations.rows, "cycle_rank": basis.rank},
+         "relations": relations.rows, "cycle_rank": s.basis.rank},
         ["stabiliser group: %s" % group, "ambient rank: %d" % ambient,
-         "relations: %d" % relations.rows, "cycle rank: %d" % basis.rank],
+         "relations: %d" % relations.rows, "cycle rank: %d" % s.basis.rank],
     )
 
 

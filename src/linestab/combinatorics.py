@@ -191,6 +191,11 @@ class DecoratedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @property
+    def cycle_rank(self) -> int:
+        """Rank of H1 of the (connected) graph: edges - vertices + 1."""
+        return self.edge_count - self.vertex_count + 1
+
     def is_line(self, v: int) -> bool:
         return v < self.n_lines
 

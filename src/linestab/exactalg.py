@@ -26,12 +26,13 @@ Conventions, used package-wide:
   replaying the log forward (or backward), and columns of v (to_smith) by
   replaying it backward.
 * Quotients.  Smith serves group quotients and hermite serves lattices.
-  quotient_group runs the engine on the relations as given, because
-  reduce() and lift() speak its coordinates; quotient_type needs only the
-  invariants, so it takes _echelon(relations), hermite's first pass, and
-  splits it at the unit pivots: a unit row and its pivot column leave the
-  quotient together, and the engine runs only on the rows with a non-unit
-  pivot, cleared of the unit columns.  No finishing pass is paid for.
+  quotient_group reads the invariants off _echelon(relations), hermite's
+  first pass, split at its unit pivots: a unit row and its pivot column
+  leave the quotient together, and the engine runs only on the rows with a
+  non-unit pivot, cleared of the unit columns.  The coordinates of
+  reduce() and lift() come from the engine's log on the relations as
+  given, built on first use, so a caller that needs only the group type
+  never pays for it.
 * Determinism.  Smith pivots are entries of least |value|, ties to the
   lowest current row, then column, position; hermite's Euclid pivot is the
   row of least |value|, then the shorter row, then the earlier row.
@@ -493,10 +494,10 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
 class AbelianGroup:
     """Z^n modulo the row span of a relation matrix.
 
-    Instances come from quotient_group().  The group is recorded by its
-    invariants (torsion orders, free rank) and by the Smith engine's column
-    log with the ids of the columns it retains, which together give the
-    coordinate maps:
+    Instances come from quotient_group(), which sets the invariants
+    (torsion orders, free rank).  The coordinate maps come from the Smith
+    engine's column log on the relations, with the ids of the columns it
+    retains, built the first time reduce(), lift() or to_smith is read:
 
     * reduce() replays the log forward, reads the retained columns and takes
       each torsion coordinate to its canonical residue, so two ambient
@@ -507,23 +508,17 @@ class AbelianGroup:
 
     Torsion coordinates come first, in ascending order of their
     annihilators, then the free coordinates.  reduce() as a matrix,
-    to_smith (n x t, before residues, t = len(torsion) + free_rank), is
-    built from the log on first use.
+    to_smith, is n x t before residues, t = len(torsion) + free_rank.  The
+    invariants depend on the lattice alone, so the log retains t columns.
     """
 
     def __init__(
-        self,
-        ambient_rank: int,
-        torsion: tuple[int, ...],
-        free_rank: int,
-        ops,
-        retained: Sequence[int],
+        self, ambient_rank: int, relations: IntMatrix, torsion: tuple[int, ...], free_rank: int
     ):
         self.ambient_rank = ambient_rank
+        self.relations = relations
         self.torsion = torsion
         self.free_rank = free_rank
-        self._ops = ops
-        self._retained = tuple(retained)
 
     @property
     def coord_count(self) -> int:
@@ -534,9 +529,19 @@ class AbelianGroup:
         return not self.torsion and self.free_rank == 0
 
     @cached_property
+    def _log(self):
+        """(ops, retained): the engine's column log on the relations and the
+        ids of the columns whose diagonal entry is not 1."""
+        n = self.ambient_rank
+        diag, _, ops, col_at = _smith_engine(_sparse_rows(self.relations), n, want_u=False)
+        diag += [0] * (n - len(diag))
+        return ops, tuple(col_at[k] for k in range(n) if diag[k] != 1)
+
+    @cached_property
     def to_smith(self) -> IntMatrix:
         """n x t matrix: ambient row vector -> Smith coordinates."""
-        rows = _transform_columns(self._ops, self.ambient_rank, self._retained)
+        ops, retained = self._log
+        rows = _transform_columns(ops, self.ambient_rank, retained)
         return IntMatrix._from_rows(rows, self.coord_count)
 
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
@@ -547,8 +552,9 @@ class AbelianGroup:
         """
         if len(x) != self.ambient_rank:
             raise ValueError(f"vector of length {len(x)} against ambient rank {self.ambient_rank}")
-        y = _replay(self._ops, list(map(operator.index, x)))
-        out = [y[j] for j in self._retained]
+        ops, retained = self._log
+        y = _replay(ops, list(map(operator.index, x)))
+        out = [y[j] for j in retained]
         for k, d in enumerate(self.torsion):
             out[k] %= d
         return tuple(out)
@@ -557,10 +563,11 @@ class AbelianGroup:
         """An ambient representative of the class with these coordinates."""
         if len(coords) != self.coord_count:
             raise ValueError(f"{len(coords)} coordinates against {self.coord_count}")
+        ops, retained = self._log
         w = [0] * self.ambient_rank
-        for j, x in zip(self._retained, map(operator.index, coords)):
+        for j, x in zip(retained, map(operator.index, coords)):
             w[j] = x
-        return _replay_inverse(self._ops, w)
+        return _replay_inverse(ops, w)
 
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.coord_count:
@@ -594,27 +601,9 @@ class AbelianGroup:
         return f"AbelianGroup({self})"
 
 
-def _check_ambient_rank(ambient_rank: int, relations: IntMatrix) -> None:
-    if relations.cols != ambient_rank:
-        raise ValueError(
-            f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
-        )
-
-
-def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
-    """The abelian group Z^ambient_rank / rowspan(relations)."""
-    _check_ambient_rank(ambient_rank, relations)
-    n = ambient_rank
-    diag, _, ops, col_at = _smith_engine(_sparse_rows(relations), n, want_u=False)
-    diagonal = diag + [0] * (n - len(diag))
-    retained = [col_at[k] for k in range(n) if diagonal[k] != 1]
-    torsion = tuple(x for x in diagonal if x > 1)
-    return AbelianGroup(n, torsion, len(retained) - len(torsion), ops, retained)
-
-
-def quotient_type(ambient_rank: int, relations: IntMatrix) -> str:
-    """str(quotient_group(ambient_rank, relations)), read off an echelon form
-    split at its unit pivots.
+def _invariants(n: int, relations: IntMatrix) -> tuple[tuple[int, ...], int]:
+    """(torsion, free rank) of Z^n / rowspan(relations), read off an echelon
+    form split at its unit pivots.
 
     The rows of _echelon(relations) span the same lattice.  A row whose
     pivot is 1 at column j lets e_j be written through later columns, so
@@ -623,10 +612,9 @@ def quotient_type(ambient_rank: int, relations: IntMatrix) -> str:
     a non-unit pivot (r -= r[j] * row); a unit row has no entry left of
     its pivot, so no column cleared earlier returns.  The Smith engine
     then runs only on that residual, cut to the columns that no unit row
-    pivots on.  The Smith invariants depend on the lattice only, so the
-    group type is the same; its coordinates are never exposed.
+    pivots on.  The Smith invariants depend on the lattice only, so they
+    are those of the relations as given.
     """
-    _check_ambient_rank(ambient_rank, relations)
     residual: list[dict[int, int]] = []
     unit: set[int] = set()
     for j, row in _echelon(relations):
@@ -638,7 +626,17 @@ def quotient_type(ambient_rank: int, relations: IntMatrix) -> str:
             x = r.get(j)
             if x:
                 _axpy(r, -x, row)
-    kept = [k for k in range(ambient_rank) if k not in unit]
+    kept = [k for k in range(n) if k not in unit]
     at = {k: s for s, k in enumerate(kept)}
-    cut = ({at[k]: x for k, x in r.items()} for r in residual)
-    return str(quotient_group(len(kept), IntMatrix._from_rows(cut, len(kept))))
+    cut = [{at[k]: x for k, x in r.items()} for r in residual]
+    diag = _smith_engine(cut, len(kept), want_u=False)[0]
+    return tuple(x for x in diag if x > 1), len(kept) - sum(1 for x in diag if x)
+
+
+def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
+    """The abelian group Z^ambient_rank / rowspan(relations)."""
+    if relations.cols != ambient_rank:
+        raise ValueError(
+            f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
+        )
+    return AbelianGroup(ambient_rank, relations, *_invariants(ambient_rank, relations))

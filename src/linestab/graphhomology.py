@@ -150,7 +150,7 @@ def chains_to_hom(
     """The cycle-by-vertex matrix m as sum of m[i][u] * e_i (x) pi_u, a flat
     list of cycle rank * coord_count entries at add_tensor's strides."""
     g = mh.graph
-    rank = g.edge_count - g.vertex_count + 1
+    rank = g.cycle_rank
     if m.shape != (rank, g.vertex_count):
         raise ValidationError(
             "expected a %d x %d matrix, got %d x %d" % (rank, g.vertex_count, m.rows, m.cols)

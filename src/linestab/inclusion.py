@@ -73,7 +73,7 @@ def parse_inclusion(text: str | bytes, g: DecoratedGraph) -> InclusionMatrix:
             "inclusion file is for the %s graph, got the %s graph"
             % (raw["graph"], g.kind.value)
         )
-    rank = g.edge_count - g.vertex_count + 1
+    rank = g.cycle_rank
     if type(raw["cycles"]) is not int or raw["cycles"] != rank:
         raise ValidationError(
             "file declares %r cycles, graph has %d" % (raw["cycles"], rank)

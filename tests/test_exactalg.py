@@ -16,13 +16,12 @@ from linestab.exactalg import (
     lattice_kernel,
     lattice_members,
     quotient_group,
-    quotient_type,
     smith,
 )
 from linestab.exactalg import _axpy, _sparse_rows
-from linestab.stabiliser import stabiliser_relations
+from linestab.stabiliser import stabiliser
 
-from conftest import reduced_graph
+from conftest import engine_invariants, reduced_graph
 
 
 def diag_of(m):
@@ -163,17 +162,17 @@ def graph_of(c, kind):
 
 def stabiliser_inputs(c, kind):
     """(ambient rank, relations) of the stabiliser of c on one graph."""
-    basis, mh, relations = stabiliser_relations(graph_of(c, kind))
-    return basis.rank * mh.group.coord_count, relations
+    s = stabiliser(graph_of(c, kind))
+    return s.ambient_rank, s.relations
 
 
-def test_quotient_type_is_the_quotient_group_string():
-    """quotient_type reads the group off the echelon form that is hermite's
-    first pass, split at its unit pivots; it must print exactly what
-    quotient_group prints for the relations as given.  An echelon form
-    missing a row, a wrong lattice, or a unit row that is not cleared from
-    the non-unit rows prints another group.  The matrices with two or three
-    chosen non-unit pivots, unit pivots between them, are the split's
+def test_quotient_group_invariants_are_the_engine_diagonal():
+    """quotient_group reads the invariants off the echelon form that is
+    hermite's first pass, split at its unit pivots; they must be what the
+    Smith engine's diagonal on the relations as given says.  An echelon
+    form missing a row, a wrong lattice, or a unit row that is not cleared
+    from the non-unit rows gives another group.  The matrices with two or
+    three chosen non-unit pivots, unit pivots between them, are the split's
     hardest inputs."""
     rng = random.Random(1313)
     cases = [
@@ -198,9 +197,12 @@ def test_quotient_type_is_the_quotient_group_string():
     ]
     types = []
     for n, relations in cases:
-        expected = str(quotient_group(n, relations))
-        assert quotient_type(n, relations) == expected
-        types.append(expected)
+        group = quotient_group(n, relations)
+        assert (group.torsion, group.free_rank) == engine_invariants(n, relations)
+        # The coordinate log on the raw relations retains one column per
+        # coordinate of the split's group.
+        assert len(group.reduce([0] * n)) == group.coord_count
+        types.append(str(group))
     # The published groups, the same on both graphs.
     assert types[:6] == [t for t in ("Z/3 ⊕ Z^35", "Z/5 ⊕ Z^119", "Z/3 ⊕ Z/3 ⊕ Z^220")
                          for _ in range(2)]
@@ -208,21 +210,21 @@ def test_quotient_type_is_the_quotient_group_string():
     assert sum("Z/" in t for t in random_types) >= 20
     assert types[-6:] == ["Z^3", "0", "0", "0", "0", "Z^4"]
     with pytest.raises(ValueError, match="ambient rank"):
-        quotient_type(3, IntMatrix([[1, 2]]))
+        quotient_group(3, IntMatrix([[1, 2]]))
 
 
-def test_quotient_type_checks_the_shape_before_eliminating(monkeypatch):
+def test_quotient_group_checks_the_shape_before_eliminating(monkeypatch):
     def eliminate(mat):
         raise AssertionError("elimination reached")
 
     monkeypatch.setattr(exactalg, "_echelon", eliminate)
     with pytest.raises(ValueError, match=r"^relations have 2 columns, ambient rank is 3$"):
-        quotient_type(3, IntMatrix([[1, 2]]))
+        quotient_group(3, IntMatrix([[1, 2]]))
     with pytest.raises(AssertionError, match="elimination reached"):
-        quotient_type(2, IntMatrix([[1, 2]]))
+        quotient_group(2, IntMatrix([[1, 2]]))
 
 
-def test_quotient_type_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
+def test_quotient_group_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
     """The unit-pivot split: the Smith engine runs once, on at most one row
     per non-unit pivot.  Every echelon basis of a lattice has the pivots of
     its Hermite form, so those are counted there; generic(n) has none."""
@@ -246,7 +248,7 @@ def test_quotient_type_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
             return engine(a, cols, want_u)
 
         monkeypatch.setattr(exactalg, "_smith_engine", counted)
-        quotient_type(n, relations)
+        str(quotient_group(n, relations))
         monkeypatch.undo()
         assert len(calls) == 1 and calls[0] <= bound
         sizes.append(calls[0])
@@ -887,9 +889,10 @@ def test_internal_producers_match_the_checked_build(name, kind, monkeypatch):
     ints, columns in range.  Key order matters to hash()."""
     c = getattr(datasets, name)()
     g = graph_of(c, kind)
-    basis, mh, relations = stabiliser_relations(g)
-    built = [relations, basis.zeta, hermite(relations), mh.group.to_smith,
-             quotient_group(relations.cols, relations).to_smith]
+    s = stabiliser(g)
+    relations = s.relations
+    built = [relations, s.basis.zeta, hermite(relations), s.mh.group.to_smith,
+             s.group.to_smith]
     if kind is GraphKind.FULL:
         forms = tlg_forms(name, monkeypatch)
         built += [forms, lattice_kernel(forms)]

@@ -45,7 +45,7 @@ def test_rank_formula():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 g = build_graph(c, kind)
-            assert cycle_basis(g).rank == g.edge_count - g.vertex_count + 1
+            assert cycle_basis(g).rank == g.cycle_rank == g.edge_count - g.vertex_count + 1
 
 
 def test_cycles_lie_in_boundary_kernel():

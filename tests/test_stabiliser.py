@@ -6,20 +6,21 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from linestab import datasets
+from linestab import datasets, exactalg
+from linestab import stabiliser as stabiliser_module
 from linestab.combinatorics import GraphKind, LineCombinatorics, ValidationError, build_graph
-from linestab.exactalg import IntMatrix, hermite, lattice_members, quotient_group, quotient_type
+from linestab.exactalg import IntMatrix, hermite, lattice_members, quotient_group
+from linestab.graphhomology import meridian_homology
 from linestab.orderings import GraphOrdering, canonical_ordering
 from linestab.stabiliser import (
     gs_generators,
     lift_to_chains,
     reduce_to_class,
     stabiliser,
-    stabiliser_relations,
     transition,
 )
 
-from conftest import reduced_graph
+from conftest import engine_invariants, reduced_graph
 
 
 def swap_at(o, v, k):
@@ -313,13 +314,60 @@ CEVA_TYPES = {
 
 @pytest.mark.parametrize("n", sorted(CEVA_TYPES))
 def test_ceva_stabiliser_types_are_pinned(n):
-    """quotient_type on Ceva(n), a family with torsion and points of
-    multiplicity n; for n <= 5 the stabiliser's own quotient, the Smith
-    engine on the raw relations, agrees."""
+    """The stabiliser group of Ceva(n), a family with torsion and points of
+    multiplicity n, as quotient_group's echelon split reads it; for n <= 5
+    the Smith engine's diagonal on the raw relations agrees."""
     c = datasets.ceva(n)
     for kind in GraphKind:
         g = reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
-        basis, mh, relations = stabiliser_relations(g)
-        assert quotient_type(basis.rank * mh.group.coord_count, relations) == CEVA_TYPES[n]
+        s = stabiliser(g)
+        assert str(s.group) == CEVA_TYPES[n]
         if n <= 5:
-            assert str(stabiliser(g).group) == CEVA_TYPES[n]
+            assert (s.group.torsion, s.group.free_rank) == engine_invariants(
+                s.ambient_rank, s.relations)
+
+
+def test_coordinates_are_built_on_the_first_reduce(monkeypatch):
+    """stabiliser() and its group type run the Smith engine once, on the
+    rows of the echelon split with a non-unit pivot; the first reduce runs
+    it once more, on the raw relations, to build the coordinate log, and
+    later reduce, lift and to_smith reads reuse it.  The meridian homology
+    is built beforehand, so only the stabiliser's own quotient is counted."""
+    engine = exactalg._smith_engine
+    rng = random.Random(1919)
+    cases = [(getattr(datasets, name)(), kind)
+             for name in ("maclane", "quadruplet", "rybnikov") for kind in GraphKind]
+    cases += [(datasets.generic(n), GraphKind.FULL) for n in (6, 9)]
+    sizes = []
+    for c, kind in cases:
+        g = reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
+        mh = meridian_homology(g)
+        calls = []
+
+        def counted(a, cols, want_u):
+            calls.append(len(a))
+            return engine(a, cols, want_u)
+
+        monkeypatch.setattr(stabiliser_module, "meridian_homology", lambda _: mh)
+        monkeypatch.setattr(exactalg, "_smith_engine", counted)
+        s = stabiliser(g)
+        str(s.group)
+        assert len(calls) == 1
+        bound = sum(next(iter(row.values())) != 1 for row in hermite(s.relations).entries)
+        assert calls[0] <= bound
+        sizes.append(calls[0])
+        group = s.group
+        v = [rng.randint(-3, 3) for _ in range(s.ambient_rank)]
+        coords = group.reduce(v)
+        assert calls[1:] == [s.relations.rows]
+        assert len(coords) == group.coord_count
+        assert group.reduce(group.lift(coords)) == coords
+        assert group.reduce([x + y for x, y in zip(v, s.relations.row(0))]) == coords
+        assert group.to_smith.shape == (s.ambient_rank, group.coord_count)
+        o = canonical_ordering(g)
+        transition(s, o, shuffled_ordering(g, rng))
+        assert len(calls) == 2
+        monkeypatch.undo()
+    # As in test_exactalg: MacLane, the quadruplet and Rybnikov, reduced
+    # then full, and generic(n), whose pivots are all units.
+    assert sizes == [3, 1, 3, 3, 13, 4, 0, 0]
