@@ -34,12 +34,13 @@ from .combinatorics import (
     build_graph,
     parse_combinatorics,
 )
+from .exactalg import AbelianGroup
 from .graphhomology import cycle_basis, meridian_homology
 from .inclusion import Verdict, compare, invariant, parse_inclusion
 from .looplink import lln, tlg
 from .orderings import canonical_ordering, parse_ordering
 from .pi1 import abelianise, pi1_presentation, presentation_text
-from .stabiliser import stabiliser, transition
+from .stabiliser import stabiliser, stabiliser_relations, transition
 
 __all__ = ["Report", "build_parser", "main"]
 
@@ -92,14 +93,16 @@ def _graph_info(g) -> tuple:
 
 
 def _stabiliser(g) -> tuple:
-    # Only the group type is printed, so no coordinates are built.
-    s = stabiliser(g)
-    group, ambient, relations = str(s.group), s.ambient_rank, s.relations
+    # Only the group type is printed, so no coordinates are built: a bare
+    # AbelianGroup reads it off the echelon split.
+    basis, mh, relations = stabiliser_relations(g)
+    ambient = basis.rank * mh.group.coord_count
+    group = str(AbelianGroup(ambient, relations))
     return (
         {"graph": g.kind.value, "group": group, "ambient_rank": ambient,
-         "relations": relations.rows, "cycle_rank": s.basis.rank},
+         "relations": relations.rows, "cycle_rank": basis.rank},
         ["stabiliser group: %s" % group, "ambient rank: %d" % ambient,
-         "relations: %d" % relations.rows, "cycle rank: %d" % s.basis.rank],
+         "relations: %d" % relations.rows, "cycle rank: %d" % basis.rank],
     )
 
 

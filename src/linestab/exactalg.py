@@ -26,13 +26,13 @@ Conventions, used package-wide:
   replaying the log forward (or backward), and columns of v (to_smith) by
   replaying it backward.
 * Quotients.  Smith serves group quotients and hermite serves lattices.
-  quotient_group reads the invariants off _echelon(relations), hermite's
-  first pass, split at its unit pivots: a unit row and its pivot column
-  leave the quotient together, and the engine runs only on the rows with a
-  non-unit pivot, cleared of the unit columns.  The coordinates of
-  reduce() and lift() come from the engine's log on the relations as
-  given, built on first use, so a caller that needs only the group type
-  never pays for it.
+  quotient_group runs the engine on the relations as given, because
+  reduce() and lift() speak its coordinates, and reads the type off the
+  same diagonal.  A caller that needs only the type makes an AbelianGroup
+  and reads it: that takes _echelon(relations), hermite's first pass, and
+  splits it at the unit pivots, so a unit row and its pivot column leave
+  the quotient together and the engine runs only on the rows with a
+  non-unit pivot, cleared of the unit columns.
 * Determinism.  Smith pivots are entries of least |value|, ties to the
   lowest current row, then column, position; hermite's Euclid pivot is the
   row of least |value|, then the shorter row, then the earlier row.
@@ -494,10 +494,8 @@ def lattice_kernel(forms: IntMatrix) -> IntMatrix:
 class AbelianGroup:
     """Z^n modulo the row span of a relation matrix.
 
-    Instances come from quotient_group(), which sets the invariants
-    (torsion orders, free rank).  The coordinate maps come from the Smith
-    engine's column log on the relations, with the ids of the columns it
-    retains, built the first time reduce(), lift() or to_smith is read:
+    The coordinate maps come from the Smith engine's column log on the
+    relations, with the ids of the columns it retains:
 
     * reduce() replays the log forward, reads the retained columns and takes
       each torsion coordinate to its canonical residue, so two ambient
@@ -506,27 +504,23 @@ class AbelianGroup:
     * lift() places coordinates on the retained columns and replays the log
       backward, giving an ambient representative.
 
-    Torsion coordinates come first, in ascending order of their
-    annihilators, then the free coordinates.  reduce() as a matrix,
-    to_smith, is n x t before residues, t = len(torsion) + free_rank.  The
-    invariants depend on the lattice alone, so the log retains t columns.
+    quotient_group() builds the log at once.  A group made directly builds
+    nothing until asked: the log on the first reduce(), lift() or to_smith,
+    and the invariants (torsion orders, free rank), if read before the log,
+    from the cheaper echelon split (_invariants); otherwise they come off
+    the log's diagonal.  Torsion coordinates come first, in ascending order
+    of their annihilators, then the free coordinates.  reduce() as a
+    matrix, to_smith, is n x t before residues, t = len(torsion) +
+    free_rank.
     """
 
-    def __init__(
-        self, ambient_rank: int, relations: IntMatrix, torsion: tuple[int, ...], free_rank: int
-    ):
+    def __init__(self, ambient_rank: int, relations: IntMatrix):
+        if relations.cols != ambient_rank:
+            raise ValueError(
+                f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
+            )
         self.ambient_rank = ambient_rank
         self.relations = relations
-        self.torsion = torsion
-        self.free_rank = free_rank
-
-    @property
-    def coord_count(self) -> int:
-        return len(self.torsion) + self.free_rank
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
 
     @cached_property
     def _log(self):
@@ -535,7 +529,30 @@ class AbelianGroup:
         n = self.ambient_rank
         diag, _, ops, col_at = _smith_engine(_sparse_rows(self.relations), n, want_u=False)
         diag += [0] * (n - len(diag))
-        return ops, tuple(col_at[k] for k in range(n) if diag[k] != 1)
+        retained = tuple(col_at[k] for k in range(n) if diag[k] != 1)
+        torsion = tuple(x for x in diag if x > 1)
+        self.__dict__.setdefault("_type", (torsion, len(retained) - len(torsion)))
+        return ops, retained
+
+    @cached_property
+    def _type(self) -> tuple[tuple[int, ...], int]:
+        return _invariants(self.ambient_rank, self.relations)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return self._type[0]
+
+    @property
+    def free_rank(self) -> int:
+        return self._type[1]
+
+    @property
+    def coord_count(self) -> int:
+        return len(self.torsion) + self.free_rank
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.torsion and self.free_rank == 0
 
     @cached_property
     def to_smith(self) -> IntMatrix:
@@ -561,9 +578,9 @@ class AbelianGroup:
 
     def lift(self, coords: Sequence[int]) -> list[int]:
         """An ambient representative of the class with these coordinates."""
-        if len(coords) != self.coord_count:
-            raise ValueError(f"{len(coords)} coordinates against {self.coord_count}")
         ops, retained = self._log
+        if len(coords) != len(retained):
+            raise ValueError(f"{len(coords)} coordinates against {len(retained)}")
         w = [0] * self.ambient_rank
         for j, x in zip(retained, map(operator.index, coords)):
             w[j] = x
@@ -610,10 +627,10 @@ def _invariants(n: int, relations: IntMatrix) -> tuple[tuple[int, ...], int]:
     it and column j leave the quotient together.  Walking the pivots in
     ascending order, each unit-pivot column is cleared from the rows with
     a non-unit pivot (r -= r[j] * row); a unit row has no entry left of
-    its pivot, so no column cleared earlier returns.  The Smith engine
-    then runs only on that residual, cut to the columns that no unit row
-    pivots on.  The Smith invariants depend on the lattice only, so they
-    are those of the relations as given.
+    its pivot, so no column cleared earlier returns.  quotient_group then
+    takes only that residual, cut to the columns that no unit row pivots
+    on.  The Smith invariants depend on the lattice only, so they are
+    those of the relations as given.
     """
     residual: list[dict[int, int]] = []
     unit: set[int] = set()
@@ -628,15 +645,14 @@ def _invariants(n: int, relations: IntMatrix) -> tuple[tuple[int, ...], int]:
                 _axpy(r, -x, row)
     kept = [k for k in range(n) if k not in unit]
     at = {k: s for s, k in enumerate(kept)}
-    cut = [{at[k]: x for k, x in r.items()} for r in residual]
-    diag = _smith_engine(cut, len(kept), want_u=False)[0]
-    return tuple(x for x in diag if x > 1), len(kept) - sum(1 for x in diag if x)
+    cut = ({at[k]: x for k, x in r.items()} for r in residual)
+    group = quotient_group(len(kept), IntMatrix._from_rows(cut, len(kept)))
+    return group.torsion, group.free_rank
 
 
 def quotient_group(ambient_rank: int, relations: IntMatrix) -> AbelianGroup:
-    """The abelian group Z^ambient_rank / rowspan(relations)."""
-    if relations.cols != ambient_rank:
-        raise ValueError(
-            f"relations have {relations.cols} columns, ambient rank is {ambient_rank}"
-        )
-    return AbelianGroup(ambient_rank, relations, *_invariants(ambient_rank, relations))
+    """The abelian group Z^ambient_rank / rowspan(relations), with its
+    coordinate log built: one elimination gives coordinates and type."""
+    group = AbelianGroup(ambient_rank, relations)
+    group._log
+    return group

@@ -39,6 +39,7 @@ __all__ = [
     "lift_to_chains",
     "reduce_to_class",
     "stabiliser",
+    "stabiliser_relations",
     "transition",
 ]
 
@@ -129,13 +130,19 @@ def _push_to_hom(basis: CycleBasis, mh: MeridianHomology) -> IntMatrix:
     return IntMatrix._from_rows(out, basis.rank * t)
 
 
-def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:
-    """Quotient of hom(H1, MH) by the images of the relation generators.
-    The group type is read off at once; the coordinates that classes and
-    transitions speak are built on the first reduce."""
+def stabiliser_relations(
+    g: DecoratedGraph, root: int = 0
+) -> tuple[CycleBasis, MeridianHomology, IntMatrix]:
+    """The cycle basis, meridian homology and relation rows in flattened
+    hom(H1, MH) coordinates that stabiliser() takes the quotient of."""
     basis = cycle_basis(g, root)
     mh = meridian_homology(g)
-    relations = _push_to_hom(basis, mh)
+    return basis, mh, _push_to_hom(basis, mh)
+
+
+def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:
+    """Quotient of hom(H1, MH) by the images of the relation generators."""
+    basis, mh, relations = stabiliser_relations(g, root)
     group = quotient_group(basis.rank * mh.group.coord_count, relations)
     return StabiliserGroup(g, basis, mh, relations, group)
 

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from linestab import datasets, exactalg
+from linestab import datasets
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.stabiliser import stabiliser
 
@@ -13,14 +13,6 @@ def reduced_graph(c):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_graph(c, GraphKind.REDUCED)
-
-
-def engine_invariants(n, relations):
-    """(torsion, free rank) of Z^n / rowspan(relations) off the Smith
-    engine's diagonal on the relations as given: the reference that
-    quotient_group's echelon split must match."""
-    diag = exactalg._smith_engine(exactalg._sparse_rows(relations), n, want_u=False)[0]
-    return tuple(x for x in diag if x > 1), n - sum(1 for x in diag if x)
 
 
 @pytest.fixture(scope="session")

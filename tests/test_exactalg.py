@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from linestab import datasets, exactalg, looplink
 from linestab.combinatorics import GraphKind, LineCombinatorics, build_graph
 from linestab.exactalg import (
+    AbelianGroup,
     IntMatrix,
     hermite,
     lattice_kernel,
@@ -19,9 +20,9 @@ from linestab.exactalg import (
     smith,
 )
 from linestab.exactalg import _axpy, _sparse_rows
-from linestab.stabiliser import stabiliser
+from linestab.stabiliser import stabiliser_relations
 
-from conftest import engine_invariants, reduced_graph
+from conftest import reduced_graph
 
 
 def diag_of(m):
@@ -162,18 +163,18 @@ def graph_of(c, kind):
 
 def stabiliser_inputs(c, kind):
     """(ambient rank, relations) of the stabiliser of c on one graph."""
-    s = stabiliser(graph_of(c, kind))
-    return s.ambient_rank, s.relations
+    basis, mh, relations = stabiliser_relations(graph_of(c, kind))
+    return basis.rank * mh.group.coord_count, relations
 
 
-def test_quotient_group_invariants_are_the_engine_diagonal():
-    """quotient_group reads the invariants off the echelon form that is
-    hermite's first pass, split at its unit pivots; they must be what the
-    Smith engine's diagonal on the relations as given says.  An echelon
-    form missing a row, a wrong lattice, or a unit row that is not cleared
-    from the non-unit rows gives another group.  The matrices with two or
-    three chosen non-unit pivots, unit pivots between them, are the split's
-    hardest inputs."""
+def test_bare_group_type_is_the_quotient_group_string():
+    """A bare AbelianGroup reads its type off the echelon form that is
+    hermite's first pass, split at its unit pivots; it must print exactly
+    what quotient_group, the Smith engine on the relations as given,
+    prints.  An echelon form missing a row, a wrong lattice, or a unit row
+    that is not cleared from the non-unit rows prints another group.  The
+    matrices with two or three chosen non-unit pivots, unit pivots between
+    them, are the split's hardest inputs."""
     rng = random.Random(1313)
     cases = [
         stabiliser_inputs(getattr(datasets, name)(), kind)
@@ -197,12 +198,13 @@ def test_quotient_group_invariants_are_the_engine_diagonal():
     ]
     types = []
     for n, relations in cases:
-        group = quotient_group(n, relations)
-        assert (group.torsion, group.free_rank) == engine_invariants(n, relations)
-        # The coordinate log on the raw relations retains one column per
-        # coordinate of the split's group.
+        expected = str(quotient_group(n, relations))
+        group = AbelianGroup(n, relations)
+        assert str(group) == expected
+        # The log built afterwards retains one column per coordinate of the
+        # split's group.
         assert len(group.reduce([0] * n)) == group.coord_count
-        types.append(str(group))
+        types.append(expected)
     # The published groups, the same on both graphs.
     assert types[:6] == [t for t in ("Z/3 ⊕ Z^35", "Z/5 ⊕ Z^119", "Z/3 ⊕ Z/3 ⊕ Z^220")
                          for _ in range(2)]
@@ -210,21 +212,26 @@ def test_quotient_group_invariants_are_the_engine_diagonal():
     assert sum("Z/" in t for t in random_types) >= 20
     assert types[-6:] == ["Z^3", "0", "0", "0", "0", "Z^4"]
     with pytest.raises(ValueError, match="ambient rank"):
-        quotient_group(3, IntMatrix([[1, 2]]))
+        AbelianGroup(3, IntMatrix([[1, 2]]))
 
 
-def test_quotient_group_checks_the_shape_before_eliminating(monkeypatch):
-    def eliminate(mat):
+def test_abelian_group_checks_the_shape_before_eliminating(monkeypatch):
+    def eliminate(*args, **kwargs):
         raise AssertionError("elimination reached")
 
     monkeypatch.setattr(exactalg, "_echelon", eliminate)
-    with pytest.raises(ValueError, match=r"^relations have 2 columns, ambient rank is 3$"):
-        quotient_group(3, IntMatrix([[1, 2]]))
+    monkeypatch.setattr(exactalg, "_smith_engine", eliminate)
+    for make in (AbelianGroup, quotient_group):
+        with pytest.raises(ValueError, match=r"^relations have 2 columns, ambient rank is 3$"):
+            make(3, IntMatrix([[1, 2]]))
     with pytest.raises(AssertionError, match="elimination reached"):
         quotient_group(2, IntMatrix([[1, 2]]))
+    group = AbelianGroup(2, IntMatrix([[1, 2]]))
+    with pytest.raises(AssertionError, match="elimination reached"):
+        str(group)
 
 
-def test_quotient_group_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
+def test_bare_group_type_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
     """The unit-pivot split: the Smith engine runs once, on at most one row
     per non-unit pivot.  Every echelon basis of a lattice has the pivots of
     its Hermite form, so those are counted there; generic(n) has none."""
@@ -248,7 +255,7 @@ def test_quotient_group_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
             return engine(a, cols, want_u)
 
         monkeypatch.setattr(exactalg, "_smith_engine", counted)
-        str(quotient_group(n, relations))
+        str(AbelianGroup(n, relations))
         monkeypatch.undo()
         assert len(calls) == 1 and calls[0] <= bound
         sizes.append(calls[0])
@@ -256,6 +263,46 @@ def test_quotient_group_sends_only_the_non_unit_rows_to_the_engine(monkeypatch):
     # full, as computed: most relation rows never reach the engine.
     assert sizes[:6] == [3, 1, 3, 3, 13, 4]
     assert sizes[6:9] == [0, 0, 0]
+
+
+def test_one_elimination_serves_type_and_coordinates(monkeypatch):
+    """quotient_group runs the engine once, on the raw relations, and reads
+    the type off its diagonal: no echelon split, and no engine run after.
+    A bare group read for its type first takes the split, and the log it
+    builds later keeps that type."""
+    engine = exactalg._smith_engine
+    rng = random.Random(1919)
+    cases = [stabiliser_inputs(datasets.maclane(), kind) for kind in GraphKind]
+    cases += [torsion_relations(rng) for _ in range(20)]
+    for n, relations in cases:
+        calls = []
+
+        def counted(a, cols, want_u):
+            calls.append(len(a))
+            return engine(a, cols, want_u)
+
+        def no_split(mat):
+            raise AssertionError("echelon split reached")
+
+        monkeypatch.setattr(exactalg, "_smith_engine", counted)
+        monkeypatch.setattr(exactalg, "_echelon", no_split)
+        group = quotient_group(n, relations)
+        invariants = group.torsion, group.free_rank
+        coords = group.reduce([1] * n)
+        assert group.reduce(group.lift(coords)) == coords
+        assert group.to_smith.shape == (n, group.coord_count)
+        assert calls == [relations.rows]
+        monkeypatch.undo()
+
+        monkeypatch.setattr(exactalg, "_smith_engine", counted)
+        calls.clear()
+        bare = AbelianGroup(n, relations)
+        assert (bare.torsion, bare.free_rank) == invariants
+        assert len(calls) == 1
+        assert bare.reduce([1] * n) == coords
+        assert calls[1:] == [relations.rows]
+        assert (bare.torsion, bare.free_rank) == invariants
+        monkeypatch.undo()
 
 
 def test_quotient_row_shuffle_invariance():
@@ -889,10 +936,9 @@ def test_internal_producers_match_the_checked_build(name, kind, monkeypatch):
     ints, columns in range.  Key order matters to hash()."""
     c = getattr(datasets, name)()
     g = graph_of(c, kind)
-    s = stabiliser(g)
-    relations = s.relations
-    built = [relations, s.basis.zeta, hermite(relations), s.mh.group.to_smith,
-             s.group.to_smith]
+    basis, mh, relations = stabiliser_relations(g)
+    built = [relations, basis.zeta, hermite(relations), mh.group.to_smith,
+             quotient_group(relations.cols, relations).to_smith]
     if kind is GraphKind.FULL:
         forms = tlg_forms(name, monkeypatch)
         built += [forms, lattice_kernel(forms)]

@@ -6,10 +6,10 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from linestab import datasets, exactalg
+from linestab import cli, datasets, exactalg
 from linestab import stabiliser as stabiliser_module
 from linestab.combinatorics import GraphKind, LineCombinatorics, ValidationError, build_graph
-from linestab.exactalg import IntMatrix, hermite, lattice_members, quotient_group
+from linestab.exactalg import AbelianGroup, IntMatrix, hermite, lattice_members, quotient_group
 from linestab.graphhomology import meridian_homology
 from linestab.orderings import GraphOrdering, canonical_ordering
 from linestab.stabiliser import (
@@ -17,10 +17,11 @@ from linestab.stabiliser import (
     lift_to_chains,
     reduce_to_class,
     stabiliser,
+    stabiliser_relations,
     transition,
 )
 
-from conftest import engine_invariants, reduced_graph
+from conftest import reduced_graph
 
 
 def swap_at(o, v, k):
@@ -314,60 +315,84 @@ CEVA_TYPES = {
 
 @pytest.mark.parametrize("n", sorted(CEVA_TYPES))
 def test_ceva_stabiliser_types_are_pinned(n):
-    """The stabiliser group of Ceva(n), a family with torsion and points of
-    multiplicity n, as quotient_group's echelon split reads it; for n <= 5
-    the Smith engine's diagonal on the raw relations agrees."""
+    """The stabiliser group type of Ceva(n), a family with torsion and
+    points of multiplicity n, as the echelon split reads it on both graphs;
+    for n <= 5 the stabiliser's own quotient, the Smith engine on the raw
+    relations, agrees."""
     c = datasets.ceva(n)
     for kind in GraphKind:
         g = reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
-        s = stabiliser(g)
-        assert str(s.group) == CEVA_TYPES[n]
+        basis, mh, relations = stabiliser_relations(g)
+        assert str(AbelianGroup(basis.rank * mh.group.coord_count, relations)) == CEVA_TYPES[n]
         if n <= 5:
-            assert (s.group.torsion, s.group.free_rank) == engine_invariants(
-                s.ambient_rank, s.relations)
+            assert str(stabiliser(g).group) == CEVA_TYPES[n]
 
 
-def test_coordinates_are_built_on_the_first_reduce(monkeypatch):
-    """stabiliser() and its group type run the Smith engine once, on the
-    rows of the echelon split with a non-unit pivot; the first reduce runs
-    it once more, on the raw relations, to build the coordinate log, and
-    later reduce, lift and to_smith reads reuse it.  The meridian homology
-    is built beforehand, so only the stabiliser's own quotient is counted."""
+STABILISER_CASES = [(getattr(datasets, name)(), kind)
+                    for name in ("maclane", "quadruplet", "rybnikov") for kind in GraphKind]
+STABILISER_CASES += [(datasets.generic(n), GraphKind.FULL) for n in (6, 9)]
+
+
+def counting_engine(monkeypatch, g):
+    """Engine calls, by row count, made from here on for the stabiliser of
+    g; its meridian homology is built beforehand, so only the stabiliser's
+    own quotient is counted."""
     engine = exactalg._smith_engine
+    mh = meridian_homology(g)
+    calls = []
+
+    def counted(a, cols, want_u):
+        calls.append(len(a))
+        return engine(a, cols, want_u)
+
+    monkeypatch.setattr(stabiliser_module, "meridian_homology", lambda _: mh)
+    monkeypatch.setattr(exactalg, "_smith_engine", counted)
+    return calls
+
+
+def no_split(mat):
+    raise AssertionError("echelon split reached")
+
+
+def test_stabiliser_eliminates_its_relations_once(monkeypatch):
+    """stabiliser() runs the Smith engine once, on the raw relations, and
+    that log serves its group type, reduce, lift, to_smith and transitions
+    alike; the echelon split never runs."""
     rng = random.Random(1919)
-    cases = [(getattr(datasets, name)(), kind)
-             for name in ("maclane", "quadruplet", "rybnikov") for kind in GraphKind]
-    cases += [(datasets.generic(n), GraphKind.FULL) for n in (6, 9)]
-    sizes = []
-    for c, kind in cases:
+    for c, kind in STABILISER_CASES:
         g = reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
-        mh = meridian_homology(g)
-        calls = []
-
-        def counted(a, cols, want_u):
-            calls.append(len(a))
-            return engine(a, cols, want_u)
-
-        monkeypatch.setattr(stabiliser_module, "meridian_homology", lambda _: mh)
-        monkeypatch.setattr(exactalg, "_smith_engine", counted)
+        calls = counting_engine(monkeypatch, g)
+        monkeypatch.setattr(exactalg, "_echelon", no_split)
         s = stabiliser(g)
-        str(s.group)
-        assert len(calls) == 1
-        bound = sum(next(iter(row.values())) != 1 for row in hermite(s.relations).entries)
-        assert calls[0] <= bound
-        sizes.append(calls[0])
+        assert calls == [s.relations.rows]
         group = s.group
         v = [rng.randint(-3, 3) for _ in range(s.ambient_rank)]
         coords = group.reduce(v)
-        assert calls[1:] == [s.relations.rows]
         assert len(coords) == group.coord_count
         assert group.reduce(group.lift(coords)) == coords
         assert group.reduce([x + y for x, y in zip(v, s.relations.row(0))]) == coords
         assert group.to_smith.shape == (s.ambient_rank, group.coord_count)
         o = canonical_ordering(g)
         transition(s, o, shuffled_ordering(g, rng))
-        assert len(calls) == 2
+        assert str(group) and calls == [s.relations.rows]
         monkeypatch.undo()
+
+
+def test_stabiliser_command_reads_its_group_off_the_split(monkeypatch):
+    """The stabiliser command prints only the group type: one engine run,
+    on at most the Hermite form's non-unit pivots, and no coordinate log."""
+    sizes = []
+    for c, kind in STABILISER_CASES:
+        g = reduced_graph(c) if kind is GraphKind.REDUCED else build_graph(c, kind)
+        expected = str(stabiliser(g).group)
+        calls = counting_engine(monkeypatch, g)
+        report, _ = cli._stabiliser(g)
+        monkeypatch.undo()
+        assert report["group"] == expected and len(calls) == 1
+        _, _, relations = stabiliser_relations(g)
+        assert calls[0] <= sum(next(iter(row.values())) != 1
+                               for row in hermite(relations).entries)
+        sizes.append(calls[0])
     # As in test_exactalg: MacLane, the quadruplet and Rybnikov, reduced
     # then full, and generic(n), whose pivots are all units.
     assert sizes == [3, 1, 3, 3, 13, 4, 0, 0]
