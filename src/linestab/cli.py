@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -215,18 +214,16 @@ def _run(cmd: Command, args) -> Report:
     """Read and hash the combinatorics, build the graph, then read and hash
     the other files and hand everything to the command.
 
-    Warnings from the graph build go to stderr as one `warning:` line each.
+    The graph's warnings go to stderr as one `warning:` line each.
     """
     blob = _read(args.combinatorics)
     inputs = {args.combinatorics: _digest(blob)}
     subject = parse_combinatorics(blob)
     if cmd.graph is not None:
         kind = GraphKind(args.graph) if cmd.graph == CHOSEN else cmd.graph
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            subject = build_graph(subject, kind)
-        for w in caught:
-            print("warning: %s" % w.message, file=sys.stderr)
+        subject = build_graph(subject, kind)
+        for message in subject.warnings:
+            print("warning: %s" % message, file=sys.stderr)
     paths = [getattr(args, name.lstrip("-")) for name in cmd.files]
     blobs = [None if path is None else _read(path) for path in paths]
     inputs.update((path, _digest(b)) for path, b in zip(paths, blobs) if path is not None)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,8 +38,8 @@ class NotSupportedError(ValueError):
 def _unique_keys(pairs) -> dict:
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in doc if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key in doc if counts[key] > 1)
         raise ValueError(f"JSON object repeats the key {repeated!r}")
     return doc
 
@@ -160,7 +160,9 @@ class DecoratedGraph:
     in ascending point-id order.  Labels are "L<i>" / "P<j>" with j the point's
     index in the combinatorics.  Edges are stored as (v, w) with v < w, sorted;
     the canonical orientation runs from the lower to the higher vertex index.
-    euler is None on full graphs.
+    euler holds the Euler decorations, 1-b(L) for lines and -1 for points,
+    and is None on full graphs.  warnings names boundary cases of the
+    supported family, one message an entry.
     """
 
     kind: GraphKind
@@ -170,6 +172,7 @@ class DecoratedGraph:
     edges: tuple[tuple[int, int], ...]
     neighbours: tuple[tuple[int, ...], ...]
     euler: tuple[int, ...] | None
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(
@@ -199,9 +202,6 @@ class DecoratedGraph:
     def is_line(self, v: int) -> bool:
         return v < self.n_lines
 
-    def multiplicity(self, v: int) -> int:
-        return len(self.neighbours[v])
-
     def delta(self, v: int, w: int) -> int:
         """Orientation sign of the edge between v and w: +1 iff v < w."""
         if (min(v, w), max(v, w)) not in self._edge_pos:
@@ -222,8 +222,9 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
     """Construct the reduced or full incidence graph of a combinatorics.
 
     Raises NotSupportedError if the graph is empty, is disconnected or has
-    a vertex with fewer than two neighbours; warns about reduced-graph
-    vertices of degree two (boundary cases of the supported family).
+    a vertex with fewer than two neighbours.  Reduced-graph vertices of
+    degree two (boundary cases of the supported family) are named in the
+    graph's warnings.
     """
     if kind is GraphKind.REDUCED:
         point_ids = tuple(c.heavy_points())
@@ -268,6 +269,7 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
         raise NotSupportedError("graph is disconnected")
 
     euler: tuple[int, ...] | None = None
+    notes: tuple[str, ...] = ()
     if kind is GraphKind.REDUCED:
         heavy = set(point_ids)
         eps = []
@@ -278,11 +280,8 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
         euler = tuple(eps)
         thin = [labels[v] for v in range(count) if len(neighbours[v]) == 2]
         if thin:
-            warnings.warn(
-                f"reduced graph has degree-2 vertices ({', '.join(thin)}); "
-                "results are exact but the arrangement is a boundary case",
-                stacklevel=2,
-            )
+            notes = (f"reduced graph has degree-2 vertices ({', '.join(thin)}); "
+                     "results are exact but the arrangement is a boundary case",)
 
     return DecoratedGraph(
         kind=kind,
@@ -292,14 +291,8 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
         edges=edges,
         neighbours=neighbours,
         euler=euler,
+        warnings=notes,
     )
-
-
-def euler_number(g: DecoratedGraph, v: int) -> int:
-    """Decoration of a reduced-graph vertex: 1-b(L) for lines, -1 for points."""
-    if g.euler is None:
-        raise ValueError("euler numbers are only defined on the reduced graph")
-    return g.euler[v]
 
 
 # ----------------------------------------------------------------------------

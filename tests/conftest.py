@@ -1,7 +1,5 @@
 """Shared fixtures; the expensive stabiliser computations run once per session."""
 
-import warnings
-
 import pytest
 
 from linestab import datasets
@@ -10,9 +8,7 @@ from linestab.stabiliser import stabiliser
 
 
 def reduced_graph(c):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_graph(c, GraphKind.REDUCED)
+    return build_graph(c, GraphKind.REDUCED)
 
 
 @pytest.fixture(scope="session")

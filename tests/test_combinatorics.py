@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import time
+import warnings
 
 import pytest
 import sympy
@@ -14,8 +16,8 @@ from linestab.combinatorics import (
     NotSupportedError,
     ValidationError,
     build_graph,
-    euler_number,
     intersect_equations,
+    load_json,
     parse_combinatorics,
     parse_equations,
 )
@@ -96,21 +98,20 @@ def test_generic_four_lines_is_k4():
     assert g.vertex_count == 4
     assert g.edge_count == 6
     assert set(g.edges) == {(a, b) for a in range(4) for b in range(a + 1, 4)}
-    assert all(euler_number(g, v) == 1 for v in range(4))
+    assert g.euler == (1, 1, 1, 1)
 
 
 def test_euler_numbers_quadruplet():
     g = build_graph(datasets.quadruplet(), GraphKind.REDUCED)
     # L0 lies on points {0,1,2}, {0,4,5}, {0,6,7}, {0,8,9,10}: four heavy points
-    assert euler_number(g, 0) == -3
+    assert g.euler[0] == -3
     for v in range(11, g.vertex_count):
-        assert euler_number(g, v) == -1
+        assert g.euler[v] == -1
 
 
 def test_euler_requires_reduced():
     g = build_graph(datasets.generic(4), GraphKind.FULL)
-    with pytest.raises(ValueError):
-        euler_number(g, 0)
+    assert g.euler is None
 
 
 def test_delta_orientation():
@@ -140,8 +141,14 @@ def test_dead_end_rejected():
 
 
 def test_degree_two_warns():
-    with pytest.warns(UserWarning, match="degree-2"):
-        build_graph(datasets.generic(3), GraphKind.REDUCED)
+    """The degree-2 message is data on the graph, not a Python warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_graph(datasets.generic(3), GraphKind.REDUCED)
+    assert g.warnings == (
+        "reduced graph has degree-2 vertices (L0, L1, L2); "
+        "results are exact but the arrangement is a boundary case",)
+    assert build_graph(datasets.generic(3), GraphKind.FULL).warnings == ()
 
 
 def test_full_graph_is_bipartite_line_point():
@@ -416,3 +423,16 @@ def test_repeated_keys_and_non_json_constants_are_value_errors(kind, key, flaw):
     with pytest.raises(ValueError, match=message) as info:
         parse(text.replace(member, spliced, 1))
     assert type(info.value) is ValueError
+
+
+def test_repeated_key_is_found_in_linear_time():
+    """The first key, in order of first occurrence, that repeats is named,
+    and finding it in a wide object does not take a pass per key."""
+    with pytest.raises(ValueError, match="repeats the key 'a'"):
+        load_json('{"a": 1, "b": 2, "b": 3, "a": 4}')
+    keys = ["k%d" % i for i in range(50_000)]
+    text = "{%s}" % ", ".join('"%s": 0' % key for key in keys + keys[-1:])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="repeats the key 'k49999'"):
+        load_json(text)
+    assert time.perf_counter() - start < 5.0

@@ -32,3 +32,10 @@ def test_package_computes_over_integers_only():
     """Exact rationals and decimals have no place in an integer pipeline."""
     for source, top in imported_modules():
         assert top not in ("fractions", "decimal"), (source, top)
+
+
+def test_package_reports_through_data_not_the_warnings_module():
+    """Boundary cases travel as DecoratedGraph.warnings, which the CLI
+    prints; the process-wide warnings machinery stays out of the package."""
+    for source, top in imported_modules():
+        assert top != "warnings", (source, top)

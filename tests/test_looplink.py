@@ -62,6 +62,10 @@ def test_tlg_ranks_pinned():
     assert tlg(full_graph(datasets.maclane())).rank == 3
     assert tlg(full_graph(datasets.quadruplet())).rank == 0
     assert tlg(full_graph(datasets.rybnikov())).rank == 7
+    # Ceva(n) has torsion; these are regression goldens of this code.
+    for n, rank, ambient in ((3, 20, 128), (4, 79, 330)):
+        t = tlg(full_graph(datasets.ceva(n)))
+        assert (t.rank, t.ambient_rank) == (rank, ambient)
 
 
 def test_tlg_requires_full_graph():
@@ -106,14 +110,14 @@ def test_bareiss_rank_goldens():
 
 
 def test_rank_complements_form_rank():
-    for c in (datasets.generic(4), datasets.maclane()):
+    for c in (datasets.generic(4), datasets.maclane(), datasets.ceva(3)):
         t = tlg(full_graph(c))
         assert t.rank == t.ambient_rank - bareiss_rank(forms_of(t))
 
 
 def test_lemma_gs_tlg_holds():
     for c in (datasets.generic(4), datasets.maclane(), datasets.quadruplet(),
-              datasets.rybnikov()):
+              datasets.rybnikov(), datasets.ceva(3), datasets.ceva(4)):
         assert verify_lemma_gs_tlg(full_graph(c))
 
 

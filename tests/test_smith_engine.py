@@ -28,7 +28,7 @@ import random
 
 import pytest
 
-from linestab import datasets, graphhomology, looplink, pi1
+from linestab import datasets, looplink, pi1
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.exactalg import (
     IntMatrix,
@@ -254,17 +254,12 @@ def tlg_forms_transposed(name):
 
 
 def meridian_relations(name, kind):
-    (_, relations), _ = recorded_call(
-        graphhomology, "quotient_group", lambda: meridian_homology(graph(name, kind))
-    )
-    return relations
+    return meridian_homology(graph(name, kind)).group.relations
 
 
 def abelianisation_relations(name):
     g = graph(name, "reduced")
-    p = pi1_presentation(g, cycle_basis(g), canonical_ordering(g))
-    (_, relations), _ = recorded_call(pi1, "quotient_group", lambda: pi1.abelianise(p))
-    return relations
+    return pi1.abelianise(pi1_presentation(g, cycle_basis(g), canonical_ordering(g))).relations
 
 
 def random_matrix(seed):
