@@ -94,8 +94,8 @@ def _graph_info(g) -> tuple:
 def _stabiliser(g) -> tuple:
     # Only the group type is printed, so no coordinates are built: a bare
     # AbelianGroup reads it off the echelon split.
-    basis, mh, relations = stabiliser_relations(g)
-    ambient = basis.rank * mh.group.coord_count
+    basis, _, relations = stabiliser_relations(g)
+    ambient = relations.cols
     group = str(AbelianGroup(ambient, relations))
     return (
         {"graph": g.kind.value, "group": group, "ambient_rank": ambient,

@@ -24,6 +24,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 
@@ -108,21 +109,60 @@ def _as_combinatorics(n_lines, points_data) -> LineCombinatorics:
                     f"line index {line} out of range for {n_lines} lines"
                 )
         norm.append(pt)
-    seen: dict[tuple[int, int], int] = {}
-    for j, pt in enumerate(norm):
-        for a in range(len(pt)):
-            for b in range(a + 1, len(pt)):
-                pair = (pt[a], pt[b])
-                if pair in seen:
-                    raise ValidationError(
-                        f"line pair {pair} lies in two points ({seen[pair]} and {j})"
-                    )
-                seen[pair] = j
-    for a in range(n_lines):
-        for b in range(a + 1, n_lines):
-            if (a, b) not in seen:
-                raise ValidationError(f"line pair ({a}, {b}) lies in no point")
+    _check_pairs(n_lines, norm)
     return LineCombinatorics(n_lines=n_lines, points=tuple(norm))
+
+
+def _check_pairs(n_lines: int, points: list[tuple[int, ...]]) -> None:
+    """Every line pair lies in exactly one point, or ValidationError names
+    the pair that a scan of the pairs of each point, points in order, finds
+    first: the repeat with the least (second point, pair), else the least
+    missing pair.
+
+    on[x] lists the points through line x in ascending order.  Line x meets
+    sum(|p| - 1) lines over its points, and a pair repeats iff some line
+    meets another twice.  A line on one point cannot, so a pencil costs
+    O(n); a line whose points hold distinct other lines is passed by one
+    set build.  Only a line that meets one twice is walked point by point,
+    up to the first point where that happens.  Memory is linear in the file.
+    """
+    on: dict[int, list[int]] = {}
+    for j, pt in enumerate(points):
+        for line in pt:
+            on.setdefault(line, []).append(j)
+    best = None  # (second point, pair, first point)
+    for x, through in on.items():
+        if len(through) < 2:
+            continue
+        others = sum(len(points[j]) for j in through) - len(through)
+        if others < n_lines:  # else x meets some line twice
+            if len(set(chain.from_iterable(points[j] for j in through))) == others + 1:
+                continue
+        first: dict[int, int] = {}  # line -> the first point where x meets it
+        for j in through:
+            if best is not None and j > best[0]:
+                break
+            again = first.keys() & points[j]
+            again.discard(x)
+            if again:
+                y = min(again)  # the least pair, whichever side of x it lies
+                found = (j, (min(x, y), max(x, y)), first[y])
+                best = found if best is None else min(best, found)
+                break
+            first.update(dict.fromkeys(points[j], j))
+    if best is not None:
+        j, pair, i = best
+        raise ValidationError(f"line pair {pair} lies in two points ({i} and {j})")
+    # No pair repeats, so line x meets all others iff sum(|p| - 1) == n - 1;
+    # the first line short of that misses only lines above it.
+    for x in range(n_lines):
+        through = on.get(x, ())
+        if sum(len(points[j]) - 1 for j in through) < n_lines - 1:
+            met = set(chain.from_iterable(points[j] for j in through))
+            y = x + 1
+            while y in met:
+                y += 1
+            raise ValidationError(f"line pair ({x}, {y}) lies in no point")
 
 
 def parse_combinatorics(text: bytes | str) -> LineCombinatorics:

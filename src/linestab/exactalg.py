@@ -571,10 +571,7 @@ class AbelianGroup:
             raise ValueError(f"vector of length {len(x)} against ambient rank {self.ambient_rank}")
         ops, retained = self._log
         y = _replay(ops, list(map(operator.index, x)))
-        out = [y[j] for j in retained]
-        for k, d in enumerate(self.torsion):
-            out[k] %= d
-        return tuple(out)
+        return self._residues([y[j] for j in retained])
 
     def lift(self, coords: Sequence[int]) -> list[int]:
         """An ambient representative of the class with these coordinates."""
@@ -587,24 +584,17 @@ class AbelianGroup:
         return _replay_inverse(ops, w)
 
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """The canonical form of coordinates of this group: sums and
+        differences of reduce()'s outputs come back through here."""
         if len(coords) != self.coord_count:
             raise ValueError(f"expected {self.coord_count} coordinates")
-        out = list(map(operator.index, coords))
+        return self._residues(list(map(operator.index, coords)))
+
+    def _residues(self, out: list[int]) -> tuple[int, ...]:
+        """out with each torsion coordinate taken to its residue in [0, d)."""
         for k, d in enumerate(self.torsion):
             out[k] %= d
         return tuple(out)
-
-    def add_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return self.canonical_coords([x + y for x, y in zip(a, b)])
-
-    def sub_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return self.canonical_coords([x - y for x, y in zip(a, b)])
-
-    def neg_coords(self, a: Sequence[int]) -> tuple[int, ...]:
-        return self.canonical_coords([-x for x in a])
-
-    def zero_coords(self) -> tuple[int, ...]:
-        return (0,) * self.coord_count
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]

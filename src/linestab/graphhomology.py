@@ -106,10 +106,6 @@ class MeridianHomology:
     group: AbelianGroup
     projections: tuple[dict[int, int], ...]
 
-    def eta(self, chain: tuple[int, ...]) -> tuple[int, ...]:
-        """Class of a vertex chain in canonical coordinates."""
-        return self.group.reduce(chain)
-
 
 def meridian_homology(g: DecoratedGraph) -> MeridianHomology:
     n = g.vertex_count
@@ -173,6 +169,6 @@ def verify_h1e(m: MeridianHomology, n_lines: int) -> bool:
         lines = [0] * g.vertex_count
         for line in g.combinatorics.points[g.point_ids[v - g.n_lines]]:
             lines[line] += 1
-        if m.eta(tuple(point)) != m.eta(tuple(lines)):
+        if m.group.reduce(point) != m.group.reduce(lines):
             return False
     return True

@@ -46,7 +46,7 @@ class TensorLinkingGroup:
 
     @property
     def ambient_rank(self) -> int:
-        return self.mh.group.coord_count * self.basis.rank
+        return self.lattice.cols
 
     @property
     def rank(self) -> int:

@@ -57,14 +57,17 @@ class StabiliserClass:
 
     def __add__(self, other: "StabiliserClass") -> "StabiliserClass":
         self._check(other)
-        return StabiliserClass(self.group, self.group.add_coords(self.coords, other.coords))
+        return self._of([x + y for x, y in zip(self.coords, other.coords)])
 
     def __sub__(self, other: "StabiliserClass") -> "StabiliserClass":
         self._check(other)
-        return StabiliserClass(self.group, self.group.sub_coords(self.coords, other.coords))
+        return self._of([x - y for x, y in zip(self.coords, other.coords)])
 
     def __neg__(self) -> "StabiliserClass":
-        return StabiliserClass(self.group, self.group.neg_coords(self.coords))
+        return self._of([-x for x in self.coords])
+
+    def _of(self, coords: list[int]) -> "StabiliserClass":
+        return StabiliserClass(self.group, self.group.canonical_coords(coords))
 
     def _check(self, other: "StabiliserClass") -> None:
         if self.group is not other.group:
@@ -81,10 +84,10 @@ class StabiliserGroup:
 
     @property
     def ambient_rank(self) -> int:
-        return self.basis.rank * self.mh.group.coord_count
+        return self.relations.cols
 
     def zero(self) -> StabiliserClass:
-        return StabiliserClass(self.group, self.group.zero_coords())
+        return StabiliserClass(self.group, (0,) * self.group.coord_count)
 
 
 def gs_generator_terms(g: DecoratedGraph) -> list[tuple[tuple[int, int, int], ...]]:
@@ -143,7 +146,7 @@ def stabiliser_relations(
 def stabiliser(g: DecoratedGraph, root: int = 0) -> StabiliserGroup:
     """Quotient of hom(H1, MH) by the images of the relation generators."""
     basis, mh, relations = stabiliser_relations(g, root)
-    group = quotient_group(basis.rank * mh.group.coord_count, relations)
+    group = quotient_group(relations.cols, relations)
     return StabiliserGroup(g, basis, mh, relations, group)
 
 
@@ -159,10 +162,9 @@ def lift_to_chains(s: StabiliserGroup, flat: Sequence[int]) -> IntMatrix:
     hom coordinates.  Useful for realising ambient vectors as synthetic
     inclusion data."""
     t = s.mh.group.coord_count
-    if len(flat) != s.basis.rank * t:
+    if len(flat) != s.ambient_rank:
         raise ValidationError(
-            "expected %d flattened coordinates, got %d"
-            % (s.basis.rank * t, len(flat))
+            "expected %d flattened coordinates, got %d" % (s.ambient_rank, len(flat))
         )
     rows = [s.mh.group.lift(flat[i * t:(i + 1) * t]) for i in range(s.basis.rank)]
     return IntMatrix(rows, cols=s.graph.vertex_count)
@@ -178,7 +180,7 @@ def transition(s: StabiliserGroup, a: GraphOrdering, b: GraphOrdering) -> Stabil
         raise ValidationError("orderings belong to a different graph")
     g = s.graph
     t = s.mh.group.coord_count
-    total = [0] * (s.basis.rank * t)
+    total = [0] * s.ambient_rank
     diff = ordering_difference(a, b)
     for v in range(g.vertex_count):
         current = list(a.order[v])

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -64,6 +65,84 @@ def test_parse_rejects_non_integer_line():
 def test_parse_rejects_uncovered_pair():
     with pytest.raises(ValidationError, match="no point"):
         parse_combinatorics('{"n_lines": 3, "points": [[0,1]]}')
+    # A declared line count costs nothing until lines are met.
+    with pytest.raises(ValidationError, match=r"\(0, 1\) lies in no point"):
+        parse_combinatorics('{"n_lines": 1000000000, "points": [[0, 999999999]]}')
+
+
+def _reference_pairs(n_lines, points):
+    """The pair check as a scan of the pairs of each point, points in
+    order, then of all pairs: the specification of the messages, quadratic
+    in the largest point."""
+    seen = {}
+    for j, pt in enumerate(points):
+        for a in range(len(pt)):
+            for b in range(a + 1, len(pt)):
+                pair = (pt[a], pt[b])
+                if pair in seen:
+                    return f"line pair {pair} lies in two points ({seen[pair]} and {j})"
+                seen[pair] = j
+    for a in range(n_lines):
+        for b in range(a + 1, n_lines):
+            if (a, b) not in seen:
+                return f"line pair ({a}, {b}) lies in no point"
+    return None
+
+
+def _seeded_points(rng):
+    """A random linear space on up to 9 lines, points shuffled, then up to
+    three edits that may repeat or uncover a pair."""
+    n = rng.randint(0, 9)
+    covered, points = set(), []
+    for _ in range(rng.randint(0, 4)):
+        pt = rng.sample(range(n), min(n, rng.randint(3, 5)))
+        pairs = set(itertools.combinations(sorted(pt), 2))
+        if len(pt) > 1 and not pairs & covered:
+            covered |= pairs
+            points.append(pt)
+    points += [list(pair) for pair in itertools.combinations(range(n), 2) if pair not in covered]
+    rng.shuffle(points)
+    for _ in range(rng.randint(0, 3) if points else 0):
+        edit, j = rng.randrange(4), rng.randrange(len(points))
+        if edit == 0 and len(points) > 1:
+            del points[j]
+        elif edit == 1 and n > 1:
+            points.insert(j, rng.sample(range(n), rng.randint(2, min(n, 4))))
+        elif edit == 2 and len(points[j]) < n:
+            points[j].append(rng.choice([x for x in range(n) if x not in points[j]]))
+        elif edit == 3 and len(points[j]) > 2:
+            points[j].remove(rng.choice(points[j]))
+    return n, points
+
+
+def test_pair_check_matches_the_reference_scan():
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(3000):
+        n, points = _seeded_points(rng)
+        expected = _reference_pairs(n, [tuple(sorted(p)) for p in points])
+        try:
+            parse_combinatorics(json.dumps({"n_lines": n, "points": points}))
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected, (n, points)
+        seen.add(expected and ("two points" in expected))
+    assert seen == {None, True, False}  # valid, a repeated pair, a missing pair
+
+
+def test_pair_check_memory_is_linear_in_the_file():
+    """A 3,000-line pencil is one point of 4.5 million pairs: a pair table
+    would hold all of them, incidence lists hold 3,000 entries."""
+    text = json.dumps({"n_lines": 3000, "points": [list(range(3000))]})
+    tracemalloc.start()
+    try:
+        c = parse_combinatorics(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c.points) == 1
+    assert peak < 16 * 2**20
 
 
 def test_parse_rejects_malformed_json():

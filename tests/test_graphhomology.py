@@ -136,7 +136,7 @@ def test_eta_hits_every_smith_coordinate():
     grp = m.group
     for i in range(grp.coord_count):
         unit = tuple(1 if j == i else 0 for j in range(grp.coord_count))
-        assert m.eta(grp.lift(unit)) == grp.canonical_coords(unit)
+        assert grp.reduce(grp.lift(unit)) == grp.canonical_coords(unit)
 
 
 def _row_sum(rows):
