@@ -76,19 +76,6 @@ class LineCombinatorics:
     n_lines: int
     points: tuple[tuple[int, ...], ...]
 
-    def multiplicity(self, point_id: int) -> int:
-        return len(self.points[point_id])
-
-    def points_of_line(self, line: int) -> list[int]:
-        return [j for j, p in enumerate(self.points) if line in p]
-
-    def double_points(self) -> list[int]:
-        return [j for j, p in enumerate(self.points) if len(p) == 2]
-
-    def heavy_points(self) -> list[int]:
-        """Point ids of multiplicity greater than two."""
-        return [j for j, p in enumerate(self.points) if len(p) > 2]
-
 
 def _as_combinatorics(n_lines, points_data) -> LineCombinatorics:
     if not isinstance(n_lines, int) or isinstance(n_lines, bool) or n_lines < 0:
@@ -122,22 +109,33 @@ def _check_pairs(n_lines: int, points: list[tuple[int, ...]]) -> None:
     on[x] lists the points through line x in ascending order.  Line x meets
     sum(|p| - 1) lines over its points, and a pair repeats iff some line
     meets another twice.  A line on one point cannot, so a pencil costs
-    O(n); a line whose points hold distinct other lines is passed by one
-    set build.  Only a line that meets one twice is walked point by point,
-    up to the first point where that happens.  Memory is linear in the file.
+    O(n).  Otherwise x's largest point is set aside: if the lines over x's
+    other points are distinct and meet the largest point's lines in x
+    alone, x is passed.  That costs the other points' sizes plus one set
+    per largest point, built once, so a near-pencil costs O(n) too.  Only
+    a line that meets one twice is walked point by point, up to the first
+    point where that happens.  Memory is linear in the file.
     """
     on: dict[int, list[int]] = {}
     for j, pt in enumerate(points):
         for line in pt:
             on.setdefault(line, []).append(j)
+    lines_of: dict[int, set[int]] = {}  # point -> its lines, once it is set aside
     best = None  # (second point, pair, first point)
     for x, through in on.items():
         if len(through) < 2:
             continue
-        others = sum(len(points[j]) for j in through) - len(through)
+        sizes = [len(points[j]) for j in through]
+        others = sum(sizes) - len(through)
         if others < n_lines:  # else x meets some line twice
-            if len(set(chain.from_iterable(points[j] for j in through))) == others + 1:
-                continue
+            largest = max(sizes)
+            big = through[sizes.index(largest)]
+            rest = set(chain.from_iterable(points[j] for j in through if j != big))
+            if len(rest) == others - largest + 2:
+                if big not in lines_of:
+                    lines_of[big] = set(points[big])
+                if len(rest & lines_of[big]) == 1:
+                    continue
         first: dict[int, int] = {}  # line -> the first point where x meets it
         for j in through:
             if best is not None and j > best[0]:
@@ -261,38 +259,33 @@ class DecoratedGraph:
 def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
     """Construct the reduced or full incidence graph of a combinatorics.
 
+    Each selected point is read once: point k of point_ids is vertex
+    n + k, above every line, so its edges (line, n + k) are already
+    ordered, and on the reduced graph a double point, a sorted pair, is
+    its own line-line edge.  A line's Euler number is 1 minus the number
+    of heavy points through it, counted in one pass over their lines.
     Raises NotSupportedError if the graph is empty, is disconnected or has
     a vertex with fewer than two neighbours.  Reduced-graph vertices of
     degree two (boundary cases of the supported family) are named in the
     graph's warnings.
     """
-    if kind is GraphKind.REDUCED:
-        point_ids = tuple(c.heavy_points())
-    else:
-        point_ids = tuple(range(len(c.points)))
     n = c.n_lines
-    vertex_of_point = {j: n + k for k, j in enumerate(point_ids)}
+    reduced = kind is GraphKind.REDUCED
+    point_ids = tuple(j for j, p in enumerate(c.points) if len(p) > 2 or not reduced)
     labels = tuple(f"L{i}" for i in range(n)) + tuple(f"P{j}" for j in point_ids)
-
-    edge_set: set[tuple[int, int]] = set()
-    for j in point_ids:
-        pv = vertex_of_point[j]
-        for line in c.points[j]:
-            edge_set.add((min(line, pv), max(line, pv)))
-    if kind is GraphKind.REDUCED:
-        for j in c.double_points():
-            a, b = c.points[j]
-            edge_set.add((a, b))
-    edges = tuple(sorted(edge_set))
+    edge_list = [(line, n + k) for k, j in enumerate(point_ids) for line in c.points[j]]
+    if reduced:
+        edge_list.extend(p for p in c.points if len(p) == 2)
+    edges = tuple(sorted(edge_list))
 
     count = len(labels)
     if not count:
         raise NotSupportedError("graph has no vertices")
     nbr: list[list[int]] = [[] for _ in range(count)]
-    for v, w in edges:
+    for v, w in edges:  # in sorted order, so each list comes out sorted
         nbr[v].append(w)
         nbr[w].append(v)
-    neighbours = tuple(tuple(sorted(ns)) for ns in nbr)
+    neighbours = tuple(map(tuple, nbr))
 
     lonely = [labels[v] for v in range(count) if len(neighbours[v]) < 2]
     if lonely:
@@ -310,14 +303,9 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
 
     euler: tuple[int, ...] | None = None
     notes: tuple[str, ...] = ()
-    if kind is GraphKind.REDUCED:
-        heavy = set(point_ids)
-        eps = []
-        for i in range(n):
-            b = sum(1 for j in heavy if i in c.points[j])
-            eps.append(1 - b)
-        eps.extend([-1] * len(point_ids))
-        euler = tuple(eps)
+    if reduced:
+        b = Counter(chain.from_iterable(c.points[j] for j in point_ids))
+        euler = tuple(1 - b[i] for i in range(n)) + (-1,) * len(point_ids)
         thin = [labels[v] for v in range(count) if len(neighbours[v]) == 2]
         if thin:
             notes = (f"reduced graph has degree-2 vertices ({', '.join(thin)}); "

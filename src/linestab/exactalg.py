@@ -89,7 +89,7 @@ class IntMatrix:
             row = {j: x for j, x in pairs if x}  # shorter: zeros, or a column repeats
             if len(row) != len(pairs) and len(dict(pairs)) != len(pairs):
                 raise ValueError("a column repeats in one row")
-            if row and (next(iter(row)) < 0 or next(reversed(row)) >= cols):
+            if pairs and (pairs[0][0] < 0 or pairs[-1][0] >= cols):
                 raise ValueError(f"a column index lies outside range({cols})")
             entries.append(row)
         return cls.__new__(cls)._set(tuple(entries), cols)
@@ -368,9 +368,10 @@ def smith(mat: IntMatrix) -> SmithDecomposition:
     rows, cols = mat.rows, mat.cols
     diag, u, ops, col_at = _smith_engine(_sparse_rows(mat), cols, want_u=True)
     v = _transform_columns(ops, cols, col_at)
+    d = [[(k, x)] for k, x in enumerate(diag)] + [()] * (rows - len(diag))
     return SmithDecomposition(
         u=IntMatrix.from_entries((r.items() for r in u), rows),
-        d=IntMatrix.from_entries([[(k, x)] for k, x in zip(range(rows), diag + [0] * rows)], cols),
+        d=IntMatrix.from_entries(d, cols),
         v=IntMatrix.from_entries((r.items() for r in v), cols),
     )
 

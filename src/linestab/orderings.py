@@ -146,7 +146,7 @@ def restrict_ordering(full: GraphOrdering, reduced: DecoratedGraph) -> GraphOrde
         for u in full.order[src]:
             if reduced.is_line(v) and not g_full.is_line(u):
                 point = g_full.point_ids[u - comb.n_lines]
-                if comb.multiplicity(point) == 2:
+                if len(comb.points[point]) == 2:
                     row.append(next(w for w in comb.points[point] if w != v))
                     continue
             row.append(reduced.vertex_by_label(g_full.labels[u]))

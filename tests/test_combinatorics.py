@@ -12,6 +12,7 @@ import sympy
 
 from linestab import datasets
 from linestab.combinatorics import (
+    DecoratedGraph,
     GraphKind,
     LineCombinatorics,
     NotSupportedError,
@@ -89,9 +90,10 @@ def _reference_pairs(n_lines, points):
     return None
 
 
-def _seeded_points(rng):
-    """A random linear space on up to 9 lines, points shuffled, then up to
-    three edits that may repeat or uncover a pair."""
+def _linear_space(rng):
+    """A random linear space on up to 9 lines, points shuffled: up to four
+    points of 3-5 lines on disjoint pairs, then a double point on every
+    pair left."""
     n = rng.randint(0, 9)
     covered, points = set(), []
     for _ in range(rng.randint(0, 4)):
@@ -102,6 +104,13 @@ def _seeded_points(rng):
             points.append(pt)
     points += [list(pair) for pair in itertools.combinations(range(n), 2) if pair not in covered]
     rng.shuffle(points)
+    return n, points
+
+
+def _seeded_points(rng):
+    """A random linear space, then up to three edits that may repeat or
+    uncover a pair."""
+    n, points = _linear_space(rng)
     for _ in range(rng.randint(0, 3) if points else 0):
         edit, j = rng.randrange(4), rng.randrange(len(points))
         if edit == 0 and len(points) > 1:
@@ -143,6 +152,22 @@ def test_pair_check_memory_is_linear_in_the_file():
         tracemalloc.stop()
     assert len(c.points) == 1
     assert peak < 16 * 2**20
+
+
+def test_near_pencil_is_validated_and_built_in_linear_time():
+    """A near-pencil is one point through lines 0..n-2 and a double point
+    (i, n - 1) for each.  Every line meets n - 1 others, most of them over
+    the large point; validation sets that point aside and the graph is
+    built in one pass over the points, so neither takes a pass per line."""
+    n = 20_000
+    points = [list(range(n - 1))] + [[i, n - 1] for i in range(n - 1)]
+    text = json.dumps({"n_lines": n, "points": points})
+    start = time.perf_counter()
+    g = build_graph(parse_combinatorics(text), GraphKind.REDUCED)
+    assert time.perf_counter() - start < 5.0
+    assert (g.vertex_count, g.edge_count) == (n + 1, 2 * (n - 1))
+    assert g.euler == (0,) * (n - 1) + (1, -1)
+    assert len(g.warnings) == 1
 
 
 def test_parse_rejects_malformed_json():
@@ -230,6 +255,98 @@ def test_degree_two_warns():
     assert build_graph(datasets.generic(3), GraphKind.FULL).warnings == ()
 
 
+def _reference_build_graph(c, kind):
+    """build_graph with a scan of the points per selection and, for each
+    line, a test of every heavy point: the specification of the graphs and
+    of the NotSupportedError messages."""
+    if kind is GraphKind.REDUCED:
+        point_ids = tuple(j for j, p in enumerate(c.points) if len(p) > 2)
+    else:
+        point_ids = tuple(range(len(c.points)))
+    n = c.n_lines
+    vertex_of_point = {j: n + k for k, j in enumerate(point_ids)}
+    labels = tuple(f"L{i}" for i in range(n)) + tuple(f"P{j}" for j in point_ids)
+    edge_set = set()
+    for j in point_ids:
+        pv = vertex_of_point[j]
+        for line in c.points[j]:
+            edge_set.add((min(line, pv), max(line, pv)))
+    if kind is GraphKind.REDUCED:
+        for p in c.points:
+            if len(p) == 2:
+                edge_set.add(p)
+    edges = tuple(sorted(edge_set))
+    count = len(labels)
+    if not count:
+        raise NotSupportedError("graph has no vertices")
+    nbr = [[] for _ in range(count)]
+    for v, w in edges:
+        nbr[v].append(w)
+        nbr[w].append(v)
+    neighbours = tuple(tuple(sorted(ns)) for ns in nbr)
+    lonely = [labels[v] for v in range(count) if len(neighbours[v]) < 2]
+    if lonely:
+        raise NotSupportedError(f"graph has dead-end vertices: {', '.join(lonely)}")
+    seen, queue = {0}, [0]
+    while queue:
+        for w in neighbours[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(seen) != count:
+        raise NotSupportedError("graph is disconnected")
+    euler, notes = None, ()
+    if kind is GraphKind.REDUCED:
+        euler = tuple(1 - sum(1 for j in point_ids if i in c.points[j]) for i in range(n))
+        euler += (-1,) * len(point_ids)
+        thin = [labels[v] for v in range(count) if len(neighbours[v]) == 2]
+        if thin:
+            notes = (f"reduced graph has degree-2 vertices ({', '.join(thin)}); "
+                     "results are exact but the arrangement is a boundary case",)
+    return DecoratedGraph(kind, c, point_ids, labels, edges, neighbours, euler, notes)
+
+
+def _graph_or_error(build, c, kind):
+    try:
+        return build(c, kind)
+    except NotSupportedError as exc:
+        return str(exc)
+
+
+def _differential_corpus():
+    yield from (datasets.maclane(), datasets.quadruplet(), datasets.rybnikov())
+    yield from (datasets.generic(n) for n in range(14))
+    yield from (datasets.ceva(n) for n in range(2, 9))
+    rng = random.Random(28)
+    for _ in range(210):
+        n, points = _linear_space(rng)
+        yield parse_combinatorics(json.dumps({"n_lines": n, "points": points}))
+
+
+def test_graphs_match_the_reference_build():
+    """Graphs, warnings and NotSupportedError messages on the bundled
+    inputs, generic(0..13), Ceva(2..8) and seeded linear spaces, whose
+    points come in shuffled order and which may be disconnected or have
+    dead ends."""
+    errors = set()
+    for c in _differential_corpus():
+        for kind in GraphKind:
+            expected = _graph_or_error(_reference_build_graph, c, kind)
+            assert _graph_or_error(build_graph, c, kind) == expected, (c, kind)
+            if isinstance(expected, str):
+                errors.add(expected.split(":")[0])
+    assert errors == {"graph has no vertices", "graph has dead-end vertices"}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ceva_euler_numbers_are_closed_form(n):
+    """Each of Ceva(n)'s 3n lines lies on one pencil point of multiplicity
+    n and on n triple points, so its Euler number is 1 - (n + 1) = -n; all
+    n^2 + 3 points are heavy."""
+    g = build_graph(datasets.ceva(n), GraphKind.REDUCED)
+    assert g.euler == (-n,) * (3 * n) + (-1,) * (n * n + 3)
+
+
 def test_full_graph_is_bipartite_line_point():
     g = build_graph(datasets.maclane(), GraphKind.FULL)
     for v, w in g.edges:
@@ -255,7 +372,7 @@ def test_maclane_line_profile():
     """Every MacLane line lies on exactly 3 triple points and 1 double."""
     c = datasets.maclane()
     for line in range(8):
-        mults = sorted(len(c.points[j]) for j in c.points_of_line(line))
+        mults = sorted(len(p) for p in c.points if line in p)
         assert mults == [2, 3, 3, 3]
 
 

@@ -870,7 +870,10 @@ def test_negative_column_counts_are_rejected():
     for rows, cols in ((-1, 2), (0, -1)):
         with pytest.raises(ValueError):
             IntMatrix.zeros(rows, cols)
-    for pairs in ([(2, 1)], [(-1, 1)], [(0, 1), (0, 2)], [(0, 3), (0, -3)], [(1, 0), (1, 0)]):
+    for pairs in (
+        [(2, 1)], [(-1, 1)], [(2, 0)], [(-1, 0)],
+        [(0, 1), (0, 2)], [(0, 3), (0, -3)], [(1, 0), (1, 0)],
+    ):
         with pytest.raises(ValueError):
             IntMatrix.from_entries([pairs], 2)
 

@@ -3,8 +3,8 @@
 Each reference below is the dense computation the package used before
 relation generators became sparse (edge, vertex, coeff) terms: generator
 rows edge_count * vertex_count wide, pushed into hom(H1, MH) position by
-position; zeta columns tensored with whole projection rows; and a
-points_of_line scan per edge for the constraint positions.  The package's
+position; zeta columns tensored with whole projection rows; and a scan
+of every point per edge for the constraint positions.  The package's
 relations, forms, positions and transition classes must equal them
 exactly.
 """
@@ -103,8 +103,9 @@ def ref_positions(g):
         pid = g.point_ids[point - comb.n_lines]
         for other_line in comb.points[pid]:
             out.append((other_line, e))
-        for other_point in comb.points_of_line(line):
-            out.append((g.vertex_by_label("P%d" % other_point), e))
+        for other_point, pt in enumerate(comb.points):
+            if line in pt:
+                out.append((g.vertex_by_label("P%d" % other_point), e))
     return out
 
 
