@@ -122,6 +122,7 @@ class IntMatrix:
         return tuple(_dense(self.entries[i], self.cols))
 
     def column(self, j: int) -> tuple[int, ...]:
+        j = range(self.cols)[j]  # row()'s rules: IndexError out of range, -1 is the last
         return tuple(row.get(j, 0) for row in self.entries)
 
     def transpose(self) -> "IntMatrix":

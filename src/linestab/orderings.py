@@ -1,4 +1,4 @@
-"""Neighbour orderings of decorated graphs and the adjacent-transposition calculus.
+"""Neighbour orderings of decorated graphs.
 
 A graph ordering fixes, at every vertex, a linear order of its neighbour
 set.  Only the induced circular order matters downstream, so orderings are
@@ -6,12 +6,13 @@ compared up to rotation at each vertex.  The canonical ordering lists
 neighbours by increasing vertex index and is the default whenever no
 ordering file is supplied.
 
-Permutations live in one-line notation over 0-based positions: ``sigma[p]
-= q`` means the neighbour sitting at position p moves to position q.
-``decompose_adjacent`` factors such a permutation into adjacent swaps,
-reported as 1-based positions and meant to be applied left to right to
-the current tuple; this is the walk order used when accumulating
-transition terms.
+Two orderings of the same graph differ, at each vertex, by the neighbour
+pairs one lists in the other's reverse order; the ordering transition
+(stabiliser.transition) is a sum over exactly those pairs.
+``decompose_adjacent`` factors a position permutation in 0-based one-line
+notation (``sigma[p] = q``: the neighbour at position p moves to position
+q) into adjacent swaps, reported as 1-based positions and applied left to
+right; any such shortest word exchanges each inverted pair exactly once.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from .combinatorics import DecoratedGraph, GraphKind, ValidationError, load_json
 
 __all__ = [
     "GraphOrdering",
-    "OrderingPermutation",
-    "apply_permutation",
     "canonical_ordering",
     "circular_equal",
     "decompose_adjacent",
-    "ordering_difference",
     "ordering_from_doc",
     "parse_ordering",
     "restrict_ordering",
@@ -62,18 +60,6 @@ class GraphOrdering:
     def position(self, v: int, w: int) -> int:
         """1-based position of neighbour w at vertex v."""
         return self.order[v].index(w) + 1
-
-
-@dataclass(frozen=True)
-class OrderingPermutation:
-    """Per-vertex position permutations in 0-based one-line notation."""
-
-    graph: DecoratedGraph
-    perms: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(p == tuple(range(len(p))) for p in self.perms)
 
 
 def canonical_ordering(g: DecoratedGraph) -> GraphOrdering:
@@ -152,33 +138,6 @@ def restrict_ordering(full: GraphOrdering, reduced: DecoratedGraph) -> GraphOrde
             row.append(reduced.vertex_by_label(g_full.labels[u]))
         rows.append(tuple(row))
     return GraphOrdering(reduced, tuple(rows))
-
-
-def ordering_difference(a: GraphOrdering, b: GraphOrdering) -> OrderingPermutation:
-    """The per-vertex permutation carrying a to b.
-
-    At each vertex, ``perm[p] = q`` says the neighbour at position p in a
-    sits at position q in b; applying the result to a reproduces b.
-    """
-    _same_graph(a, b)
-    perms = []
-    for ra, rb in zip(a.order, b.order):
-        pos = {w: q for q, w in enumerate(rb)}
-        perms.append(tuple(pos[w] for w in ra))
-    return OrderingPermutation(a.graph, perms=tuple(perms))
-
-
-def apply_permutation(a: GraphOrdering, s: OrderingPermutation) -> GraphOrdering:
-    """Right action: rearrange each neighbour tuple by the given positions."""
-    if a.graph != s.graph:
-        raise ValidationError("permutation belongs to a different graph")
-    rows = []
-    for ra, perm in zip(a.order, s.perms):
-        row = [-1] * len(ra)
-        for p, q in enumerate(perm):
-            row[q] = ra[p]
-        rows.append(tuple(row))
-    return GraphOrdering(a.graph, tuple(rows))
 
 
 def decompose_adjacent(sigma: Sequence[int]) -> tuple[int, ...]:

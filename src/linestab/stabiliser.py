@@ -10,12 +10,14 @@ decomposition map tensored with the vertex's meridian projection
 data (graphhomology.chains_to_hom).  Classes in the quotient are what the
 comparison workflow trades in.
 
-Transitions between orderings are accumulated per vertex by walking the
-adjacent-transposition word of the position permutation.  Each swap is
-evaluated against the linearisation reached so far: with x and y the
-neighbours at the swapped positions, the step contributes the image of
-the dual of edge (v, y) tensored with x, signed by the edge's canonical
-orientation, which is one more term of the same kernel.
+The transition between two orderings is a sum over inverted neighbour
+pairs.  At each vertex v, every pair x before y in the first ordering
+that the second reverses contributes the image of the dual of edge
+(v, y) tensored with x, signed by the edge's canonical orientation: one
+more term of the same kernel.  Any shortest adjacent-swap word from one
+ordering to the other exchanges each such pair exactly once, earlier
+neighbour on the left, so this is the vector that walking such a word
+accumulates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .exactalg import AbelianGroup, IntMatrix, quotient_group
 from .graphhomology import (
     CycleBasis, MeridianHomology, add_tensor, chains_to_hom, cycle_basis, meridian_homology,
 )
-from .orderings import GraphOrdering, decompose_adjacent, ordering_difference
+from .orderings import GraphOrdering
 
 __all__ = [
     "StabiliserClass",
@@ -173,20 +175,20 @@ def lift_to_chains(s: StabiliserGroup, flat: Sequence[int]) -> IntMatrix:
 def transition(s: StabiliserGroup, a: GraphOrdering, b: GraphOrdering) -> StabiliserClass:
     """Correction class comparing invariants computed in orderings a and b.
 
-    Word-independence holds in the quotient, so the bubble-sort word from
-    the stored linearisations pins the representative deterministically.
+    At each vertex v, every pair x before y in a that b reverses adds
+    delta(v, y) * zeta_(v, y) (x) pi_x; the sum is then reduced.
     """
     if a.graph != s.graph or b.graph != s.graph:
         raise ValidationError("orderings belong to a different graph")
     g = s.graph
     t = s.mh.group.coord_count
     total = [0] * s.ambient_rank
-    diff = ordering_difference(a, b)
     for v in range(g.vertex_count):
-        current = list(a.order[v])
-        for kpos in decompose_adjacent(diff.perms[v]):
-            x, y = current[kpos - 1], current[kpos]
-            cycles = s.basis.edge_cycles[g.edge_position(v, y)]
-            add_tensor(total, g.delta(v, y), cycles, s.mh.projections[x], t, 1)
-            current[kpos - 1], current[kpos] = y, x
+        rank = {w: q for q, w in enumerate(b.order[v])}
+        row = a.order[v]
+        for i, x in enumerate(row):
+            for y in row[i + 1:]:
+                if rank[y] < rank[x]:
+                    cycles = s.basis.edge_cycles[g.edge_position(v, y)]
+                    add_tensor(total, g.delta(v, y), cycles, s.mh.projections[x], t, 1)
     return StabiliserClass(s.group, s.group.reduce(total))

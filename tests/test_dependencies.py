@@ -1,7 +1,10 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and every name a
+module exports exists."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 import sys
 
 import linestab
@@ -39,3 +42,15 @@ def test_package_reports_through_data_not_the_warnings_module():
     prints; the process-wide warnings machinery stays out of the package."""
     for source, top in imported_modules():
         assert top != "warnings", (source, top)
+
+
+def test_every_exported_name_exists():
+    """A name deleted from a module leaves its __all__ entry with it."""
+    for info in pkgutil.iter_modules(linestab.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("linestab." + info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+    for name in linestab.__all__:
+        assert hasattr(linestab, name), name

@@ -878,6 +878,15 @@ def test_negative_column_counts_are_rejected():
             IntMatrix.from_entries([pairs], 2)
 
 
+def test_column_indexes_like_row():
+    m = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    assert m.column(-1) == (3, 6) and m.row(-1) == (4, 5, 6)
+    assert [m.column(j) for j in range(3)] == [(1, 4), (2, 5), (3, 6)]
+    for index in (lambda: m.column(7), lambda: m.column(-4), lambda: m.row(5)):
+        with pytest.raises(IndexError):
+            index()
+
+
 def ref_transpose(rows, cols):
     return [[row[j] for row in rows] for j in range(cols)]
 

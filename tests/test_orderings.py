@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import random
 
 import pytest
 
@@ -10,11 +9,9 @@ from linestab import datasets
 from linestab.combinatorics import GraphKind, ValidationError, build_graph, parse_combinatorics
 from linestab.orderings import (
     GraphOrdering,
-    apply_permutation,
     canonical_ordering,
     circular_equal,
     decompose_adjacent,
-    ordering_difference,
     parse_ordering,
     restrict_ordering,
 )
@@ -141,34 +138,6 @@ def test_restrict_rejects_wrong_kinds():
 # ----------------------------------------------------------------------------
 # permutations
 # ----------------------------------------------------------------------------
-
-
-def test_difference_identity():
-    a = canonical_ordering(k4())
-    assert ordering_difference(a, a).is_identity
-
-
-def test_difference_single_transposition():
-    g = k4()
-    a = canonical_ordering(g)
-    b = swap_at(a, 2, 1)
-    s = ordering_difference(a, b)
-    assert s.perms[2] == (1, 0, 2)
-    assert all(s.perms[v] == (0, 1, 2) for v in (0, 1, 3))
-
-
-def test_difference_roundtrip_random():
-    g = k4()
-    rng = random.Random(20260814)
-    a = canonical_ordering(g)
-    for _ in range(25):
-        rows = []
-        for row in g.neighbours:
-            row = list(row)
-            rng.shuffle(row)
-            rows.append(tuple(row))
-        b = GraphOrdering(g, tuple(rows))
-        assert apply_permutation(a, ordering_difference(a, b)).order == b.order
 
 
 def test_decompose_golden():

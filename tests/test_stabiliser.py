@@ -21,7 +21,7 @@ from linestab.stabiliser import (
     transition,
 )
 
-from conftest import reduced_graph
+from conftest import TRANSITION_INPUTS, reduced_graph, transition_input
 
 
 def swap_at(o, v, k):
@@ -223,9 +223,9 @@ def test_transition_rejects_foreign_graph(maclane_stab):
         transition(maclane_stab, other, other)
 
 
-@pytest.mark.parametrize("fixture", ["maclane_stab", "quadruplet_stab"])
-def test_rotation_kernel_every_vertex(fixture, request):
-    s = request.getfixturevalue(fixture)
+@pytest.mark.parametrize("case", list(TRANSITION_INPUTS))
+def test_rotation_kernel_every_vertex(case):
+    s = transition_input(case)
     g = s.graph
     a = canonical_ordering(g)
     for v in range(g.vertex_count):
@@ -286,9 +286,9 @@ def test_disjoint_swaps_commute(quadruplet_stab):
     assert via1.coords == via2.coords
 
 
-@pytest.mark.parametrize("fixture", ["maclane_stab", "quadruplet_stab"])
-def test_transition_cocycle_random(fixture, request):
-    s = request.getfixturevalue(fixture)
+@pytest.mark.parametrize("case", list(TRANSITION_INPUTS))
+def test_transition_cocycle_random(case):
+    s = transition_input(case)
     g = s.graph
     rng = random.Random(97)
     a = canonical_ordering(g)

@@ -19,10 +19,10 @@ from linestab import stabiliser as stabiliser_module
 from linestab.combinatorics import GraphKind, build_graph
 from linestab.exactalg import IntMatrix
 from linestab.looplink import tlg, tlg_generator_positions
-from linestab.orderings import canonical_ordering, decompose_adjacent, ordering_difference
+from linestab.orderings import canonical_ordering, decompose_adjacent
 from linestab.stabiliser import StabiliserClass, gs_generators, stabiliser, transition
 
-from conftest import reduced_graph
+from conftest import TRANSITION_INPUTS, reduced_graph, transition_input
 from test_stabiliser import shuffled_ordering
 
 COMBINATORICS = {
@@ -133,9 +133,9 @@ def ref_transition(s, a, b):
     t = s.mh.group.coord_count
     proj = s.mh.group.to_smith.data
     total = [0] * (s.basis.rank * t)
-    diff = ordering_difference(a, b)
     for v in range(g.vertex_count):
-        word = decompose_adjacent(diff.perms[v])
+        pos = {w: q for q, w in enumerate(b.order[v])}
+        word = decompose_adjacent([pos[w] for w in a.order[v]])
         current = list(a.order[v])
         for kpos in word:
             x, y = current[kpos - 1], current[kpos]
@@ -201,9 +201,9 @@ def test_tlg_forms_and_positions_match_dense_reference(name, recorded):
     assert forms == ref_forms(t.basis, t.mh, positions)
 
 
-@pytest.mark.parametrize("fixture", ["maclane_stab", "quadruplet_stab"])
-def test_transition_matches_dense_reference(fixture, request):
-    s = request.getfixturevalue(fixture)
+@pytest.mark.parametrize("case", list(TRANSITION_INPUTS))
+def test_transition_matches_dense_reference(case):
+    s = transition_input(case)
     g = s.graph
     rng = random.Random(31)
     a = canonical_ordering(g)
