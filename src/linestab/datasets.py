@@ -39,6 +39,8 @@ def quadruplet_equations():
 
 def generic(n_lines: int) -> LineCombinatorics:
     """n lines in general position: every intersection is a double point."""
+    if n_lines < 0:
+        raise ValueError(f"generic(n) needs n >= 0, got {n_lines}")
     points = [
         [a, b] for a in range(n_lines) for b in range(a + 1, n_lines)
     ]

@@ -15,7 +15,7 @@ Euler numbers, the group is presented instead by eliminating each point
 against the sum of its lines and killing the total sum of lines; both
 presentations give a free group of rank one less than the line count.
 
-Relation generators, transition swaps, tensor-linking forms and
+Relation generators, transition terms, tensor-linking forms and
 inclusion data are all sums of terms c * zeta (x) pi_u: a column of
 cycle coefficients (an edge's column of the cycle map, or a vertex's
 column of an inclusion matrix, chains_to_hom()) tensored with a vertex's

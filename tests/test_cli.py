@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line frontend via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
@@ -205,17 +206,58 @@ def test_stabiliser_rejects_pencil(tmp_path):
     assert "not supported" in result.stderr
 
 
-def test_json_output_is_byte_stable():
-    first = run_cli("stabiliser", MACLANE, "--json")
-    second = run_cli("stabiliser", MACLANE, "--json")
-    assert first.stdout == second.stdout
+def _maclane_argv(tmp_path, command):
+    """Arguments that run a command on MacLane: zero inclusion data for
+    reduce, compare and lln, and the canonical ordering against the one
+    with every neighbour list reversed for transition."""
+    if command in ("reduce", "compare", "lln"):
+        kind = GraphKind.FULL if command == "lln" else GraphKind.REDUCED
+        g = build_graph(maclane(), kind)
+        zero = write_incl(tmp_path / "zero.json", g, zero_matrix(g))
+        return [command, MACLANE] + [zero] * (2 if command == "compare" else 1)
+    if command == "transition":
+        g = reduced_graph(maclane())
+        canonical = tmp_path / "canonical.json"
+        canonical.write_text(json.dumps({"order": {}}))
+        reversed_ = tmp_path / "reversed.json"
+        reversed_.write_text(json.dumps({"order": {
+            g.labels[v]: [g.labels[w] for w in reversed(row)]
+            for v, row in enumerate(g.neighbours)}}))
+        return [command, MACLANE, str(canonical), str(reversed_)]
+    return [command, MACLANE]
+
+
+def _json_under_two_hash_seeds(tmp_path, command):
+    """Run a command on MacLane with --json under PYTHONHASHSEED 0 and 1,
+    require the same report, messages and exit code, and return the report."""
+    argv = [sys.executable, "-m", "linestab.cli",
+            *_maclane_argv(tmp_path, command), "--json"]
+    first, second = (
+        subprocess.run(argv, capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    )
+    assert first.returncode == 0
+    assert (first.stdout, first.stderr, first.returncode) == (
+        second.stdout, second.stderr, second.returncode)
+    assert "elapsed" not in first.stdout
     doc = json.loads(first.stdout)
-    assert doc["command"] == "stabiliser"
+    assert doc["command"] == command
+    return doc
+
+
+def test_json_output_is_byte_stable(tmp_path):
+    doc = _json_under_two_hash_seeds(tmp_path, "stabiliser")
     assert doc["result"]["group"] == "Z/3 ⊕ Z^35"
     assert doc["result"]["cycle_rank"] == 13
-    assert "elapsed" not in first.stdout
     digest, = doc["inputs"].values()
     assert digest.startswith("sha256:")
+
+
+@pytest.mark.parametrize(
+    "command", [c.name for c in cli.COMMANDS if c.name != "stabiliser"])
+def test_json_output_of_every_command_is_byte_stable(tmp_path, command):
+    _json_under_two_hash_seeds(tmp_path, command)
 
 
 def test_reduce_zero_class(tmp_path):

@@ -347,6 +347,14 @@ def test_ceva_euler_numbers_are_closed_form(n):
     assert g.euler == (-n,) * (3 * n) + (-1,) * (n * n + 3)
 
 
+@pytest.mark.parametrize("family, n", [("generic", -1), ("ceva", 1), ("ceva", 0)])
+def test_family_rejects_a_size_it_cannot_build(family, n):
+    """A negative line count, or a Ceva arrangement below n = 2, is a
+    ValueError rather than a LineCombinatorics that breaks its invariant."""
+    with pytest.raises(ValueError, match="needs n >="):
+        getattr(datasets, family)(n)
+
+
 def test_full_graph_is_bipartite_line_point():
     g = build_graph(datasets.maclane(), GraphKind.FULL)
     for v, w in g.edges:
