@@ -237,9 +237,6 @@ class DecoratedGraph:
         """Rank of H1 of the (connected) graph: edges - vertices + 1."""
         return self.edge_count - self.vertex_count + 1
 
-    def is_line(self, v: int) -> bool:
-        return v < self.n_lines
-
     def delta(self, v: int, w: int) -> int:
         """Orientation sign of the edge between v and w: +1 iff v < w."""
         if (min(v, w), max(v, w)) not in self._edge_pos:
@@ -269,6 +266,7 @@ def build_graph(c: LineCombinatorics, kind: GraphKind) -> DecoratedGraph:
     degree two (boundary cases of the supported family) are named in the
     graph's warnings.
     """
+    kind = GraphKind(kind)
     n = c.n_lines
     reduced = kind is GraphKind.REDUCED
     point_ids = tuple(j for j, p in enumerate(c.points) if len(p) > 2 or not reduced)

@@ -151,9 +151,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [_dense(row, self.cols) for row in self.entries]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -551,10 +548,6 @@ class AbelianGroup:
     @property
     def coord_count(self) -> int:
         return len(self.torsion) + self.free_rank
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
 
     @cached_property
     def to_smith(self) -> IntMatrix:

@@ -8,12 +8,18 @@ through the tree.  Chains are row vectors indexed by the graph's edge
 list, so the matrix of the cycle decomposition map has one row per
 cycle and one column per edge.
 
-The meridian homology group is the quotient of the free module on the
+The meridian homology group MH is the quotient of the free module on the
 vertices by one relation per vertex: the vertex scaled by its Euler
-number plus the sum of its neighbours.  For full graphs, which carry no
-Euler numbers, the group is presented instead by eliminating each point
-against the sum of its lines and killing the total sum of lines; both
-presentations give a free group of rank one less than the line count.
+number plus the sum of its neighbours.  It is free of rank n - 1 for n
+lines.  On the reduced graph, heavy point P gives -P + (its lines), and
+line L gives (1 - b(L)) L + (its b(L) heavy points) + (the lines meeting
+it in a double point).  Every pair of lines meets in exactly one point,
+which validation checks, so modulo the point rows line L's row is
+L + (every other line) = (all lines).  A full graph, which carries no
+Euler numbers, is presented by the point rows and (all lines) directly.
+Either way MH = Z^n / (1, ..., 1).  A hand-built graph with Euler numbers
+that no combinatorics gives falls outside this: build_graph never makes
+one, and verify_h1e checks for it.
 
 Relation generators, transition terms, tensor-linking forms and
 inclusion data are all sums of terms c * zeta (x) pi_u: a column of

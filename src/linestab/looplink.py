@@ -11,6 +11,8 @@ the forms.
 Loop-linking values pair a kernel basis row against inclusion data,
 written in the same coordinates by graphhomology.chains_to_hom: their
 dot product is the trace of the row composed with the inclusion matrix.
+They need no ordering correction: a transition term zeta_(v, y) (x) pi_x
+has x next to v, so it is a form and every kernel row kills it.
 """
 
 from __future__ import annotations

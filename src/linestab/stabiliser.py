@@ -121,7 +121,8 @@ def gs_generators(g: DecoratedGraph) -> IntMatrix:
 
 
 def _push_to_hom(basis: CycleBasis, mh: MeridianHomology) -> IntMatrix:
-    """Relation generators in flattened hom(H1, MH) coordinates."""
+    """Relation generators in flattened hom(H1, MH) coordinates; MH is
+    free (graphhomology's docstring), so they are all the relations."""
     t = mh.group.coord_count
     out = []
     for terms in gs_generator_terms(basis.graph):
@@ -129,9 +130,6 @@ def _push_to_hom(basis: CycleBasis, mh: MeridianHomology) -> IntMatrix:
         for e, u, c in terms:
             add_tensor(img, c, basis.edge_cycles[e], mh.projections[u], t, 1)
         out.append(img)
-    # Torsion in MH forces d * unit in every cycle slot of the hom module.
-    for s, d in enumerate(mh.group.torsion):
-        out.extend({i * t + s: d} for i in range(basis.rank))
     return IntMatrix._from_rows(out, basis.rank * t)
 
 

@@ -13,6 +13,29 @@ def reduced_graph(c):
     return build_graph(c, GraphKind.REDUCED)
 
 
+def rank_mod(p, rows):
+    """Rank over F_p of sparse integer rows {column: value}, by Gaussian
+    elimination on the least remaining column of each row in turn."""
+    pivots = {}  # column -> a row reduced mod p, 1 at that column, none left of it
+    for row in rows:
+        r = {k: x % p for k, x in row.items() if x % p}
+        while r:
+            j = min(r)
+            pivot = pivots.get(j)
+            if pivot is None:
+                inverse = pow(r[j], -1, p)
+                pivots[j] = {k: x * inverse % p for k, x in r.items()}
+                break
+            q = r[j]
+            for k, x in pivot.items():
+                y = (r.get(k, 0) - q * x) % p
+                if y:
+                    r[k] = y
+                else:
+                    r.pop(k, None)
+    return len(pivots)
+
+
 # The stabilisers the transition tests run on, by test id: "<name>_stab"
 # is the reduced graph and "<name>_full_stab" the full graph.
 TRANSITION_INPUTS = {

@@ -358,7 +358,20 @@ def test_family_rejects_a_size_it_cannot_build(family, n):
 def test_full_graph_is_bipartite_line_point():
     g = build_graph(datasets.maclane(), GraphKind.FULL)
     for v, w in g.edges:
-        assert g.is_line(v) != g.is_line(w)
+        assert (v < g.n_lines) != (w < g.n_lines)
+
+
+def test_build_graph_reads_kind_by_value():
+    """A kind given by its value builds that graph; any other kind is an
+    error, never the full graph."""
+    c = datasets.maclane()
+    for kind in GraphKind:
+        g = build_graph(c, kind.value)
+        assert g == build_graph(c, kind)
+        assert g.kind is kind
+    for kind in ("nope", None):
+        with pytest.raises(ValueError):
+            build_graph(c, kind)
 
 
 # ----------------------------------------------------------------------------

@@ -414,7 +414,7 @@ def test_hermite_random_against_sympy():
     for m in inputs:
         a = IntMatrix(m)
         h = hermite(a)
-        if a.is_zero():
+        if not any(a.entries):
             assert h.rows == 0
             continue
         assert_hermite_of(a, h)

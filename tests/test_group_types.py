@@ -16,6 +16,8 @@ from linestab.orderings import canonical_ordering
 from linestab.pi1 import abelianise, pi1_presentation
 from linestab.stabiliser import stabiliser_relations
 
+from conftest import rank_mod
+
 PRIMES = (2, 3, 5, 2**31 - 1)
 
 ARRANGEMENTS = {
@@ -25,29 +27,6 @@ ARRANGEMENTS = {
     **{"ceva%d" % n: (lambda n=n: datasets.ceva(n)) for n in (3, 4, 5)},
     **{"generic%d" % n: (lambda n=n: datasets.generic(n)) for n in (6, 8, 10)},
 }
-
-
-def rank_mod(p, rows):
-    """Rank over F_p of sparse integer rows {column: value}, by Gaussian
-    elimination on the least remaining column of each row in turn."""
-    pivots = {}  # column -> a row reduced mod p, 1 at that column, none left of it
-    for row in rows:
-        r = {k: x % p for k, x in row.items() if x % p}
-        while r:
-            j = min(r)
-            pivot = pivots.get(j)
-            if pivot is None:
-                inverse = pow(r[j], -1, p)
-                pivots[j] = {k: x * inverse % p for k, x in r.items()}
-                break
-            q = r[j]
-            for k, x in pivot.items():
-                y = (r.get(k, 0) - q * x) % p
-                if y:
-                    r[k] = y
-                else:
-                    r.pop(k, None)
-    return len(pivots)
 
 
 def assert_ranks_mod_p(group):

@@ -6,7 +6,7 @@ import pytest
 
 from linestab import datasets
 from linestab.combinatorics import GraphKind, ValidationError, build_graph
-from linestab.exactalg import IntMatrix, lattice_members
+from linestab.exactalg import AbelianGroup, IntMatrix, lattice_members
 from linestab.inclusion import BASIS_TAG, InclusionMatrix
 from linestab.looplink import (
     lln,
@@ -14,8 +14,12 @@ from linestab.looplink import (
     tlg_generator_positions,
     verify_lemma_gs_tlg,
 )
-from linestab.orderings import canonical_ordering
-from linestab.stabiliser import gs_generators, lift_to_chains, reduce_to_class, stabiliser
+from linestab.orderings import GraphOrdering, canonical_ordering
+from linestab.stabiliser import (
+    gs_generators, lift_to_chains, reduce_to_class, stabiliser, transition,
+)
+
+from conftest import rank_mod
 
 
 def full_graph(c):
@@ -51,7 +55,7 @@ def test_generator_counts_k4():
 def test_generator_counts_quadruplet():
     g = full_graph(datasets.quadruplet())
     gens = tlg_generator_positions(g)
-    line_side = sum(1 for u, _ in gens if g.is_line(u))
+    line_side = sum(1 for u, _ in gens if u < g.n_lines)
     assert line_side == 176
     assert len(gens) - line_side == 398
     assert len(gens) == 574
@@ -113,6 +117,29 @@ def test_rank_complements_form_rank():
     for c in (datasets.generic(4), datasets.maclane(), datasets.ceva(3)):
         t = tlg(full_graph(c))
         assert t.rank == t.ambient_rank - bareiss_rank(forms_of(t))
+
+
+@pytest.mark.parametrize("n, rank", [(3, 20), (4, 79)])
+def test_tlg_rank_is_certified(n, rank):
+    """The pinned Ceva ranks are checked, not only observed, by steps that
+    share no elimination with lattice_kernel.  Every lattice row kills
+    every form, so the lattice lies in the kernel; rank_p(forms) <=
+    rank_Q(forms), so the kernel's rank is at most N - rank_p = t.rank;
+    and Z^N / lattice is free of rank N - t.rank, so the rows are
+    independent and the lattice is saturated: it is the integral kernel."""
+    t = tlg(full_graph(datasets.ceva(n)))
+    k = t.basis.rank
+    forms = [
+        {s * k + i: p * z for s, p in t.mh.projections[u].items()
+         for i, z in t.basis.edge_cycles[e].items()}
+        for u, e in t.generators
+    ]
+    for row in t.lattice.entries:
+        for form in forms:
+            assert sum(a * row.get(j, 0) for j, a in form.items()) == 0
+    assert t.rank == rank == t.ambient_rank - rank_mod(2**31 - 1, forms)
+    group = AbelianGroup(t.ambient_rank, t.lattice)
+    assert (group.torsion, group.free_rank) == ((), t.ambient_rank - t.rank)
 
 
 def test_lemma_gs_tlg_holds():
@@ -185,6 +212,28 @@ def test_lln_nontrivial_somewhere():
         if not lln(t, incl(t, m)).is_zero:
             hits += 1
     assert hits > 0
+
+
+@pytest.mark.parametrize("comb", ["maclane", "ceva3"])
+def test_lln_needs_no_ordering_correction(comb):
+    """A transition term zeta_(v, y) (x) pi_x has x next to v, so it sits at
+    the constraint position (x, edge (v, y)) and every lattice row kills
+    it: the class of any transition pairs to zero, and lln may read
+    inclusion data in whatever ordering it was computed in."""
+    g = full_graph(datasets.maclane() if comb == "maclane" else datasets.ceva(3))
+    support = set(tlg_generator_positions(g))
+    assert all((x, g.edge_position(v, y)) in support
+               for v, row in enumerate(g.neighbours) for x in row for y in row if x != y)
+    t, s = tlg(g), stabiliser(g)
+    canonical = canonical_ordering(g)
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(10):
+        o = GraphOrdering(g, tuple(tuple(rng.sample(row, len(row))) for row in g.neighbours))
+        cls = transition(s, canonical, o)
+        nonzero += not cls.is_zero
+        assert lln(t, incl(t, lift_to_chains(s, s.group.lift(cls.coords)))).is_zero
+    assert nonzero
 
 
 @pytest.mark.parametrize("comb", ["generic4", "maclane"])

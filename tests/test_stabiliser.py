@@ -93,7 +93,7 @@ def test_generator_pair_symmetry():
 def test_k3_stabiliser_trivial_with_oracle():
     g = reduced_graph(datasets.generic(3))
     s = stabiliser(g)
-    assert s.group.is_trivial
+    assert str(s.group) == "0"
     # cross-check by diagonalising the relation images independently
     snf = smith_normal_form(sympy.Matrix(s.relations.to_lists()))
     diag = [snf[i, i] for i in range(min(snf.rows, snf.cols))]

@@ -99,7 +99,7 @@ def ref_positions(g):
     comb = g.combinatorics
     out = []
     for e, (v, w) in enumerate(g.edges):
-        line, point = (v, w) if g.is_line(v) else (w, v)
+        line, point = (v, w) if v < g.n_lines else (w, v)
         pid = g.point_ids[point - comb.n_lines]
         for other_line in comb.points[pid]:
             out.append((other_line, e))
